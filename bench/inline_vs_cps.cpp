@@ -36,14 +36,8 @@ struct Row {
   uint64_t Goals;
 };
 
-Row probeTwo(const Context &Ctx, const DirectResult<CD> &R, Symbol A,
-             Symbol B) {
-  return Row{CD::str(R.valueOf(A).Num), CD::str(R.valueOf(B).Num),
-             R.Stats.Goals};
-}
-
-Row probeTwo(const Context &Ctx, const SemanticResult<CD> &R, Symbol A,
-             Symbol B) {
+template <typename ResultT>
+Row probeTwo(const ResultT &R, Symbol A, Symbol B) {
   return Row{CD::str(R.valueOf(A).Num), CD::str(R.valueOf(B).Num),
              R.Stats.Goals};
 }
@@ -69,8 +63,8 @@ int main() {
     std::printf("theorem 5.1 shape (f let-bound):\n");
     std::printf("  analyzer        | a1 | a2 | goals\n");
     std::printf("  ----------------+----+----+------\n");
-    Row RP = probeTwo(Ctx, Plain, A1, A2);
-    Row RS = probeTwo(Ctx, Sem, A1, A2);
+    Row RP = probeTwo(Plain, A1, A2);
+    Row RS = probeTwo(Sem, A1, A2);
     std::printf("  direct (fig 4)  | %-2s | %-2s | %llu\n", RP.Probe1.c_str(),
                 RP.Probe2.c_str(), (unsigned long long)RP.Goals);
     std::printf("  semantic (fig 5)| %-2s | %-2s | %llu\n", RS.Probe1.c_str(),

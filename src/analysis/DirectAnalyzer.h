@@ -789,12 +789,10 @@ private:
         if (!XV)
           continue;
         E.AnswerValue = std::move(*XV);
-        const StoreT &AS = Interner.store(A->Store);
-        const StoreT &ES = Interner.store(K.Store);
-        for (uint32_t I = 0; I < AS.size() && Ok; ++I) {
-          if (AS.get(I) == ES.get(I))
+        for (uint32_t I = 0; I < Vars->size() && Ok; ++I) {
+          if (Interner.sameSlot(A->Store, K.Store, I))
             continue;
-          std::optional<XferVal<D>> DV = toXfer(AS.get(I));
+          std::optional<XferVal<D>> DV = toXfer(Interner.get(A->Store, I));
           if (!DV)
             Ok = false;
           else

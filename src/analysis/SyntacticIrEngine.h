@@ -391,18 +391,16 @@ private:
       // Likewise an incomplete fingerprint (see Fingerprint::ExactOnly).
       if (F.ExactOnly || S.Entry == Interner.bottom())
         return false;
-      const PStore &A = Interner.store(S.Entry);
-      const PStore &B = Interner.store(Sigma);
       for (uint32_t W = 0; W < VarWords; ++W)
         for (uint64_t Bits = F.Bits[W]; Bits; Bits &= Bits - 1) {
           uint32_t Slot = (W << 6) +
                           static_cast<uint32_t>(__builtin_ctzll(Bits));
-          if (!(A.get(Slot) == B.get(Slot)))
+          if (!Interner.sameSlot(S.Entry, Sigma, Slot))
             return false;
         }
       // The recorded cuts fired at the entry store; they re-fire at
       // Sigma only if the entry lifts into it pointwise.
-      if (!S.Cuts.empty() && !PStore::leq(A, B))
+      if (!S.Cuts.empty() && !Interner.leq(S.Entry, Sigma))
         return false;
     }
     // Active-collision scan, word-parallel: a label active at Sigma that

@@ -47,16 +47,18 @@ double elapsedMs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Runs one analyzer leg, timing it and rendering the answer value. When
-/// tracing, the leg gets a phase span on the worker's track.
-template <typename Analyzer>
-BatchAnalyzerRecord runLeg(const Context &Ctx, Analyzer &&A,
+/// Runs one analyzer leg, timing it and rendering the answer value. The
+/// analyzer is built by \p Make and torn down inside the timed scope, so
+/// the leg's wall time covers its construction and teardown as well as
+/// run(). When tracing, the leg gets a phase span on the worker's track.
+template <typename MakeAnalyzer>
+BatchAnalyzerRecord runLeg(const Context &Ctx, MakeAnalyzer Make,
                            support::Tracer *Trace, uint32_t Tid,
                            const char *Leg) {
   support::TraceSpan Span(Trace, std::string("analyze:") + Leg, "phase",
                           Tid);
   auto Start = std::chrono::steady_clock::now();
-  auto R = A.run();
+  auto R = Make().run(); // the analyzer dies at the end of this statement
   BatchAnalyzerRecord Rec;
   Rec.WallMs = elapsedMs(Start);
   Rec.Answer = R.Answer.Value.str(Ctx);
@@ -123,21 +125,30 @@ BatchProgramResult analyzeOne(const std::string &Name,
   AOpts.Trace = Trace;
   AOpts.TraceTid = Tid;
 
-  Out.Direct = runLeg(Ctx, analysis::DirectAnalyzer<D>(Ctx, Anf, Init,
-                                                       AOpts),
-                      Trace, Tid, "direct");
+  Out.Direct = runLeg(
+      Ctx, [&] { return analysis::DirectAnalyzer<D>(Ctx, Anf, Init, AOpts); },
+      Trace, Tid, "direct");
   Out.Semantic = runLeg(
-      Ctx, analysis::SemanticCpsAnalyzer<D>(Ctx, Anf, Init, AOpts), Trace,
-      Tid, "semantic");
+      Ctx,
+      [&] { return analysis::SemanticCpsAnalyzer<D>(Ctx, Anf, Init, AOpts); },
+      Trace, Tid, "semantic");
   Out.Syntactic = runLeg(
-      Ctx, analysis::SyntacticCpsAnalyzer<D>(Ctx, *Cps, CInit, AOpts),
+      Ctx,
+      [&] {
+        return analysis::SyntacticCpsAnalyzer<D>(Ctx, *Cps, CInit, AOpts);
+      },
       Trace, Tid, "syntactic");
-  Out.Dup = runLeg(Ctx, analysis::DupAnalyzer<D>(Ctx, Anf, Init,
-                                                 Opts.DupBudget, AOpts),
-                   Trace, Tid, "dup");
+  Out.Dup = runLeg(
+      Ctx,
+      [&] {
+        return analysis::DupAnalyzer<D>(Ctx, Anf, Init, Opts.DupBudget,
+                                        AOpts);
+      },
+      Trace, Tid, "dup");
   Out.Pushdown = runLeg(
-      Ctx, analysis::PushdownAnalyzer<D>(Ctx, Anf, Init, AOpts), Trace,
-      Tid, "pushdown");
+      Ctx,
+      [&] { return analysis::PushdownAnalyzer<D>(Ctx, Anf, Init, AOpts); },
+      Trace, Tid, "pushdown");
   Out.Ok = true;
   return Out;
 }

@@ -7,10 +7,13 @@
 /// \file
 /// Abstract stores (Section 4.1): after the 0CFA approximation, each
 /// variable has exactly one location, so the store maps variables directly
-/// to abstract values. Stores are dense vectors indexed through a VarIndex
-/// (the fixed, per-program variable universe), making copy, join, compare,
-/// and hash — all hot operations in the analyzers' memo tables — cheap
-/// linear scans.
+/// to abstract values. An AbsStore is the dense, self-contained form: one
+/// value per variable of a VarIndex (the fixed, per-program variable
+/// universe). The analyzers do not run on it — inside a run every store
+/// is a row of value ids in the run's StoreInterner
+/// (domain/StoreInterner.h) — so AbsStore is what initial stores are
+/// built from, what answers carry out of run(), and what tests and
+/// reference analyzers compare.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -427,7 +427,7 @@ void Server::workerLoop(unsigned WorkerId) {
 }
 
 void Server::processJob(Job J, unsigned WorkerId) {
-  const uint64_t Ordinal = J.Rec.ReqId;
+  [[maybe_unused]] const uint64_t Ordinal = J.Rec.ReqId; // fault builds only
   J.Rec.Worker = WorkerId;
   J.Rec.QueueUs = usSince(J.Enqueued);
   std::string Resp;

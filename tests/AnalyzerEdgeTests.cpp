@@ -60,13 +60,15 @@ TEST_P(MemoTransparency, MemoizationNeverChangesAnswers) {
 
     auto D1 = DirectAnalyzer<CD>(Ctx, T, Init, On).run();
     auto D2 = DirectAnalyzer<CD>(Ctx, T, Init, Off).run();
-    if (!D1.Stats.BudgetExhausted && !D2.Stats.BudgetExhausted)
+    if (!D1.Stats.BudgetExhausted && !D2.Stats.BudgetExhausted) {
       EXPECT_TRUE(D1.Answer == D2.Answer) << syntax::print(Ctx, T);
+    }
 
     auto S1 = SemanticCpsAnalyzer<CD>(Ctx, T, Init, On).run();
     auto S2 = SemanticCpsAnalyzer<CD>(Ctx, T, Init, Off).run();
-    if (!S1.Stats.BudgetExhausted && !S2.Stats.BudgetExhausted)
+    if (!S1.Stats.BudgetExhausted && !S2.Stats.BudgetExhausted) {
       EXPECT_TRUE(S1.Answer == S2.Answer) << syntax::print(Ctx, T);
+    }
 
     Result<cps::CpsProgram> P = cps::cpsTransform(Ctx, T);
     ASSERT_TRUE(P.hasValue());
@@ -75,13 +77,15 @@ TEST_P(MemoTransparency, MemoizationNeverChangesAnswers) {
       CInit.push_back({B.Var, deltaE<CD>(B.Value, *P)});
     auto C1 = SyntacticCpsAnalyzer<CD>(Ctx, *P, CInit, On).run();
     auto C2 = SyntacticCpsAnalyzer<CD>(Ctx, *P, CInit, Off).run();
-    if (!C1.Stats.BudgetExhausted && !C2.Stats.BudgetExhausted)
+    if (!C1.Stats.BudgetExhausted && !C2.Stats.BudgetExhausted) {
       EXPECT_TRUE(C1.Answer == C2.Answer) << syntax::print(Ctx, T);
+    }
 
     auto U1 = DupAnalyzer<CD>(Ctx, T, Init, 2, On).run();
     auto U2 = DupAnalyzer<CD>(Ctx, T, Init, 2, Off).run();
-    if (!U1.Stats.BudgetExhausted && !U2.Stats.BudgetExhausted)
+    if (!U1.Stats.BudgetExhausted && !U2.Stats.BudgetExhausted) {
       EXPECT_TRUE(U1.Answer == U2.Answer) << syntax::print(Ctx, T);
+    }
   }
 }
 

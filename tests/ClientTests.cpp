@@ -107,8 +107,9 @@ TEST_P(FoldPreservation, FoldedProgramsEvaluateTheSame) {
     ASSERT_TRUE(R2.ok()) << syntax::print(Ctx, T);
     ASSERT_EQ(static_cast<int>(R1.Value.Tag),
               static_cast<int>(R2.Value.Tag));
-    if (R1.Value.isNum())
+    if (R1.Value.isNum()) {
       ASSERT_EQ(R1.Value.Num, R2.Value.Num) << syntax::print(Ctx, T);
+    }
   }
 }
 

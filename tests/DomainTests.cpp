@@ -65,8 +65,9 @@ TYPED_TEST(NumDomainLaws, LeqIsAPartialOrderWithJoinAsLub) {
       // ...and leq agrees with join-absorption.
       EXPECT_EQ(D::leq(A, B), D::join(A, B) == B);
       // antisymmetry
-      if (D::leq(A, B) && D::leq(B, A))
+      if (D::leq(A, B) && D::leq(B, A)) {
         EXPECT_TRUE(A == B);
+      }
     }
   }
 }
@@ -109,8 +110,9 @@ TYPED_TEST(NumDomainLaws, HashRespectsEquality) {
   auto S = samples<D>();
   for (const auto &A : S)
     for (const auto &B : S)
-      if (A == B)
+      if (A == B) {
         EXPECT_EQ(D::hash(A), D::hash(B));
+      }
 }
 
 TEST(ConstantDomain, ExactOnConstants) {

@@ -139,8 +139,9 @@ TEST(Exhaustive, ThreeLetInterpreterAgreement) {
     RunResult RS = Semantic.run(T, intBindings(T, {0}));
     ASSERT_EQ(static_cast<int>(RD.Status), static_cast<int>(RS.Status))
         << syntax::print(Ctx, T);
-    if (RD.ok() && RD.Value.isNum())
+    if (RD.ok() && RD.Value.isNum()) {
       ASSERT_EQ(RD.Value.Num, RS.Value.Num) << syntax::print(Ctx, T);
+    }
   });
   EXPECT_GT(N, 10000u);
 }

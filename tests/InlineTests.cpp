@@ -142,8 +142,9 @@ TEST_P(InlinePreservation, SemanticsPreservedOnRandomPrograms) {
       continue;
     ASSERT_EQ(static_cast<int>(R1.Status), static_cast<int>(R2.Status))
         << syntax::print(Ctx, T);
-    if (R1.ok() && R1.Value.isNum())
+    if (R1.ok() && R1.Value.isNum()) {
       ASSERT_EQ(R1.Value.Num, R2.Value.Num) << syntax::print(Ctx, T);
+    }
   }
 }
 
