@@ -39,13 +39,9 @@ const syntax::Term *makeProgram(Context &Ctx, int64_t Size) {
 
 void BM_Normalize(benchmark::State &State) {
   Context Ctx;
-  gen::GenOptions Opts;
-  Opts.Seed = 1010;
-  Opts.ChainLength = static_cast<uint32_t>(State.range(0));
-  gen::ProgramGenerator Gen(Ctx, Opts);
-  const syntax::Term *Full = Gen.generateFull();
+  const syntax::Term *T = makeProgram(Ctx, State.range(0));
   for (auto _ : State)
-    benchmark::DoNotOptimize(anf::normalize(Ctx, Full));
+    benchmark::DoNotOptimize(anf::normalize(Ctx, T));
 }
 
 void BM_CpsTransform(benchmark::State &State) {

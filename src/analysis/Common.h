@@ -35,8 +35,6 @@
 namespace cpsflow {
 namespace analysis {
 
-struct MemoXfer; // analysis/MemoTransfer.h
-
 /// An abstract answer: a value paired with a store, ordered and joined
 /// component-wise. \p V is an AbsVal or CpsAbsVal instantiation.
 template <typename V> struct AnswerOf {
@@ -175,18 +173,6 @@ struct AnalyzerOptions {
   /// sets it to the worker id so each worker gets its own trace track).
   uint32_t TraceTid = 0;
 
-  /// When non-null, the direct analyzer exports its completed memo table
-  /// in the content-addressed portable form of analysis/MemoTransfer.h
-  /// and/or replays entries imported from an earlier run whose
-  /// fingerprints validate against the current goal (DESIGN.md §14 —
-  /// the machinery behind `cpsflow serve` incremental re-analysis).
-  /// Replay changes goal counts, never answers. Null (the default) costs
-  /// one pointer test at construction; the run is then byte-identical in
-  /// both answers and statistics. Ignored when Prov or DerivationSink is
-  /// set (those record per-goal artifacts a replay would skip) and by
-  /// every analyzer other than the direct one.
-  MemoXfer *Xfer = nullptr;
-
   /// When non-null, the run records a derivation edge for every abstract
   /// fact it establishes — the provenance graph behind `cpsflow explain`
   /// and the compare-mode loss attribution (docs/EXPLAIN.md). Null (the
@@ -276,17 +262,6 @@ struct AnalyzerStats {
   /// Summaries held in the table when the run ended.
   uint64_t SummaryEntries = 0;
 
-  // -- Cross-run memo-transfer counters (AnalyzerOptions::Xfer; only the
-  // direct analyzer with an import table fills these).
-
-  /// Goals answered by replaying a validated imported memo entry — the
-  /// whole subderivation is skipped, which is where incremental
-  /// re-analysis wins its goal count.
-  uint64_t ReplayHits = 0;
-  /// Goals whose term had imported candidate entries but none passed the
-  /// fingerprint validation (stale bindings, or an active-ancestor
-  /// conflict), falling through to live analysis.
-  uint64_t ReplayMisses = 0;
   /// Derivation depth at each summary reuse — how deep in the proof tree
   /// the cached continuation walks are being replayed.
   support::Histogram SummaryReuseDepth;

@@ -43,13 +43,11 @@
 
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
-#include "analysis/MemoTransfer.h"
 #include "analysis/Universe.h"
 #include "anf/Anf.h"
 #include "domain/AbsStore.h"
 #include "domain/AbsValue.h"
 #include "domain/StoreInterner.h"
-#include "gen/Digest.h"
 #include "syntax/Analysis.h"
 #include "syntax/Ast.h"
 #include "syntax/Printer.h"
@@ -60,7 +58,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -121,7 +118,6 @@ public:
     CloTop = directClosureUniverse(Program, ExtraLams);
     Interner.attachMetrics(this->Opts.Metrics);
     Interner.reset(Vars->size());
-    setupXfer();
   }
 
   /// Runs the analysis from the initial store.
@@ -135,8 +131,6 @@ public:
     }
 
     EvalOut Out = evalTerm(Program, Sigma0, 0);
-    if (XferOn && Opts.Xfer->Export && !Stats.BudgetExhausted)
-      exportTable();
     finalizeRunStats(Stats, Interner, Memo.size(), Opts);
     if (Opts.Prov)
       Opts.Prov->noteFinal(Out.A ? Out.A->Store : Interner.bottom());
@@ -251,30 +245,20 @@ private:
     Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
 
     Key K{T, Sigma};
-    if (XferOn)
-      noteGoal(T, Sigma);
     observeGoal(Opts, Stats, Depth, Sigma,
                 [&] { return Opts.UseMemo && Memo.count(K) != 0; });
     if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
       ++Stats.CacheHits;
-      if (XferOn)
-        mergeMemoHit(K, Sigma);
       return EvalOut{It->second, Unconstrained,
                      Opts.Prov ? Opts.Prov->memoized(T, Sigma)
                                : domain::NoProv};
     }
     if (auto It = Active.find(K); It != Active.end()) {
       ++Stats.Cuts;
-      if (XferOn && !Frames.empty())
-        Frames.back().UsedCut = true;
       return EvalOut{cutAnswer(Sigma), It->second,
                      Opts.Prov ? cutProv(T, support::DegradeReason::None)
                                : domain::NoProv};
     }
-    if (XferOn && !Imports.empty())
-      if (std::optional<EvalOut> R = tryReplay(T, K, Sigma))
-        return std::move(*R);
-
     size_t TraceLine = 0;
     if (Opts.DerivationSink &&
         Opts.DerivationSink->size() < Opts.DerivationMaxLines) {
@@ -285,11 +269,7 @@ private:
     }
 
     Active.emplace(K, Depth);
-    if (XferOn)
-      Frames.push_back(Frame{T, Sigma, Digests->ofTerm(T), {}, {}, false});
     EvalOut Out = evalUncached(T, Sigma, Depth);
-    if (XferOn)
-      popFrame(K, Out, Depth);
     Active.erase(K);
 
     if (Opts.DerivationSink && TraceLine < Opts.DerivationSink->size()) {
@@ -323,7 +303,7 @@ private:
 
     // (V, sigma) M_e ((phi_e(V, sigma), sigma)).
     if (const auto *VT = dyn_cast<ValueTerm>(T))
-      return EvalOut{IAns{phiR(VT->value(), Sigma), Sigma}, Unconstrained,
+      return EvalOut{IAns{phi(VT->value(), Sigma), Sigma}, Unconstrained,
                      Opts.Prov ? provOfValue(VT->value(), Sigma)
                                : domain::NoProv};
 
@@ -334,8 +314,8 @@ private:
     switch (Bound->kind()) {
     case TermKind::TK_Value: {
       // (let (x V) M): continue with sigma[x := sigma(x) join u].
-      Val U = phiR(cast<ValueTerm>(Bound)->value(), Sigma);
-      domain::StoreId S = joinAtW(Sigma, X, U);
+      Val U = phi(cast<ValueTerm>(Bound)->value(), Sigma);
+      domain::StoreId S = Interner.joinAt(Sigma, X, U);
       if (Opts.Prov)
         Opts.Prov->assign(domain::EdgeKind::Flow, X, S, Sigma, Let->id(),
                           Let->loc(),
@@ -347,8 +327,8 @@ private:
       // (let (x (V1 V2)) M): app_e joins over all closures, then the body
       // is analyzed once in the joined store.
       const auto *App = cast<AppTerm>(Bound);
-      Val Fun = phiR(cast<ValueTerm>(App->fun())->value(), Sigma);
-      Val Arg = phiR(cast<ValueTerm>(App->arg())->value(), Sigma);
+      Val Fun = phi(cast<ValueTerm>(App->fun())->value(), Sigma);
+      Val Arg = phi(cast<ValueTerm>(App->arg())->value(), Sigma);
 
       domain::CloSet &Rec = Cfg.Callees[App];
       for (const domain::CloRef &C : Fun.Clos)
@@ -380,7 +360,7 @@ private:
           break;
         case domain::CloRef::K::Lam: {
           domain::StoreId S =
-              joinAtW(Sigma, Vars->of(C.Lam->param()), Arg);
+              Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
           if (Opts.Prov)
             Opts.Prov->assign(domain::EdgeKind::Flow,
                               Vars->of(C.Lam->param()), S, Sigma, App->id(),
@@ -412,7 +392,7 @@ private:
       if (!Acc)
         return EvalOut{std::nullopt, MinDep}; // every callee path died
 
-      domain::StoreId S = joinAtW(Acc->Store, X, Acc->Value);
+      domain::StoreId S = Interner.joinAt(Acc->Store, X, Acc->Value);
       if (Opts.Prov)
         Opts.Prov->assign(Merged > 1 ? domain::EdgeKind::Join
                                      : domain::EdgeKind::Flow,
@@ -427,7 +407,7 @@ private:
       // two-branch rule — the values and stores of both branches are
       // joined before M is analyzed once.
       const auto *If = cast<If0Term>(Bound);
-      Val U0 = phiR(cast<ValueTerm>(If->cond())->value(), Sigma);
+      Val U0 = phi(cast<ValueTerm>(If->cond())->value(), Sigma);
       domain::ZeroTest Zt = D::isZero(U0.Num);
 
       bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty();
@@ -445,7 +425,7 @@ private:
         EvalOut Bi = evalTerm(Branch, Sigma, Depth + 1);
         if (!Bi.A)
           return EvalOut{std::nullopt, Bi.MinDep};
-        domain::StoreId S = joinAtW(Bi.A->Store, X, Bi.A->Value);
+        domain::StoreId S = Interner.joinAt(Bi.A->Store, X, Bi.A->Value);
         if (Opts.Prov)
           Opts.Prov->assign(domain::EdgeKind::Flow, X, S, Bi.A->Store,
                             If->id(), If->loc(), Bi.Prov);
@@ -472,7 +452,7 @@ private:
         Joined = std::move(B2.A);
       if (!Joined)
         return EvalOut{std::nullopt, MinDep}; // both branches died
-      domain::StoreId S = joinAtW(Joined->Store, X, Joined->Value);
+      domain::StoreId S = Interner.joinAt(Joined->Store, X, Joined->Value);
       if (Opts.Prov) {
         // For the merging rule both branch derivations are parents; for a
         // single surviving branch only its derivation is.
@@ -490,8 +470,7 @@ private:
     case TermKind::TK_Loop: {
       // (loop, sigma) M_e (join_i (i, {}), sigma): computable exactly —
       // the join of all naturals is the domain's summary element.
-      domain::StoreId S =
-          joinAtW(Sigma, X, Val::number(D::naturals()));
+      domain::StoreId S = Interner.joinAt(Sigma, X, Val::number(D::naturals()));
       if (Opts.Prov)
         Opts.Prov->assign(domain::EdgeKind::Widen, X, S, Sigma, Let->id(),
                           Let->loc());
@@ -504,330 +483,6 @@ private:
     }
     assert(false && "unknown term kind");
     return EvalOut{std::nullopt, Unconstrained};
-  }
-
-  // ===-- Cross-run memo transfer (AnalyzerOptions::Xfer) --============//
-  //
-  // When engaged (XferOn), every live goal carries a Frame that records
-  // which store slots its subderivation touched (phi reads and joinAt
-  // targets), which inner goals ran at the frame's own entry store, and
-  // whether a Section 4.4 cut fired inside. Completed frames fold into
-  // their parent and, when the goal memoizes, into MemoTrack — the data
-  // exportTable() later turns into portable XferEntry fingerprints.
-  // Imported entries replay at the matching term when every touched slot
-  // holds the recorded value and no same-store active ancestor is among
-  // the entry's inner goals (MemoTransfer.h states the exactness
-  // argument). Tracking never changes answers or work counters — it only
-  // observes — so a cold Xfer run is byte-identical to a plain run.
-
-  /// Engages transfer if the options ask for it and the program is fully
-  /// content-addressable (no digest or spelling-hash collisions; every
-  /// CL_T lambda inside the digested tree).
-  void setupXfer() {
-    const MemoXfer *X = Opts.Xfer;
-    if (!X || Opts.Prov || Opts.DerivationSink)
-      return;
-    Digests = X->Digests;
-    if (!Digests || Digests->collided())
-      return;
-    SpellOfSlot.resize(Vars->size());
-    for (uint32_t I = 0; I < Vars->size(); ++I) {
-      uint64_t H = xferSpellingHash(Ctx.spelling(Vars->symbolAt(I)));
-      SpellOfSlot[I] = H;
-      if (!SlotOfSpell.emplace(H, I).second)
-        return; // two universe variables share a spelling hash
-    }
-    for (const domain::CloRef &C : CloTop)
-      if (C.Tag == domain::CloRef::K::Lam) {
-        uint64_t Dg = Digests->ofValue(C.Lam);
-        if (!Dg)
-          return; // initial-binding lambda outside the digested tree
-        UniverseDigests.push_back(Dg);
-      }
-    std::sort(UniverseDigests.begin(), UniverseDigests.end());
-    XferOn = true;
-    buildImports(static_cast<const MemoTable<D> *>(X->Import));
-  }
-
-  /// Rebinds an imported table's digests to this run's nodes and slots.
-  /// Entries that reference anything this program lacks are dropped; a
-  /// universe mismatch drops the whole table (cut answers embed CL_T).
-  void buildImports(const MemoTable<D> *Tab) {
-    if (!Tab || Tab->UniverseLamDigests != UniverseDigests)
-      return;
-    std::unordered_multimap<uint64_t, const syntax::Term *> NodesOf;
-    Digests->eachTerm(
-        [&](const syntax::Term *T, uint64_t Dg) { NodesOf.emplace(Dg, T); });
-    for (const XferEntry<D> &E : Tab->Entries) {
-      auto [B, End] = NodesOf.equal_range(E.TermDigest);
-      if (B == End)
-        continue;
-      ImportedEntry IE;
-      IE.Dead = E.Dead;
-      IE.UsedCut = E.UsedCut;
-      IE.SameStore = &E.SameStoreTerms;
-      bool Ok = true;
-      for (const auto &[Spell, XV] : E.Required) {
-        auto SIt = SlotOfSpell.find(Spell);
-        std::optional<Val> V =
-            SIt == SlotOfSpell.end() ? std::nullopt : fromXfer(XV);
-        if (!V) {
-          Ok = false;
-          break;
-        }
-        IE.Required.emplace_back(SIt->second, std::move(*V));
-        IE.Touched.push_back(SIt->second);
-      }
-      if (Ok && !E.Dead) {
-        if (std::optional<Val> V = fromXfer(E.AnswerValue))
-          IE.Answer = std::move(*V);
-        else
-          Ok = false;
-        for (const auto &[Spell, XV] : E.Delta) {
-          if (!Ok)
-            break;
-          auto SIt = SlotOfSpell.find(Spell);
-          std::optional<Val> V =
-              SIt == SlotOfSpell.end() ? std::nullopt : fromXfer(XV);
-          if (!V)
-            Ok = false;
-          else
-            IE.Delta.emplace_back(SIt->second, std::move(*V));
-        }
-      }
-      if (!Ok)
-        continue;
-      for (auto N = B; N != End; ++N)
-        Imports[N->second].push_back(IE);
-    }
-  }
-
-  std::optional<Val> fromXfer(const XferVal<D> &X) const {
-    Val V;
-    V.Num = X.Num;
-    for (const typename XferVal<D>::Clo &C : X.Clos)
-      switch (static_cast<domain::CloRef::K>(C.Tag)) {
-      case domain::CloRef::K::Inc:
-        V.Clos.insert(domain::CloRef::inc());
-        break;
-      case domain::CloRef::K::Dec:
-        V.Clos.insert(domain::CloRef::dec());
-        break;
-      case domain::CloRef::K::Lam: {
-        const syntax::LamValue *L = Digests->lamOf(C.LamDigest);
-        if (!L)
-          return std::nullopt;
-        V.Clos.insert(domain::CloRef::lam(L));
-        break;
-      }
-      }
-    return V;
-  }
-
-  std::optional<XferVal<D>> toXfer(const Val &V) const {
-    XferVal<D> X;
-    X.Num = V.Num;
-    for (const domain::CloRef &C : V.Clos) {
-      uint64_t Dg = 0;
-      if (C.Tag == domain::CloRef::K::Lam) {
-        Dg = Digests->ofValue(C.Lam);
-        if (!Dg)
-          return std::nullopt;
-      }
-      X.Clos.push_back({static_cast<uint8_t>(C.Tag), Dg});
-    }
-    std::sort(X.Clos.begin(), X.Clos.end());
-    return X;
-  }
-
-  /// Registers a starting goal with every active frame sharing its entry
-  /// store. Stores only grow down the derivation path, so those frames
-  /// are a suffix of the stack. Digest 0 (un-digested node) is recorded
-  /// too — it poisons the affected frames' entries against export.
-  void noteGoal(const syntax::Term *T, domain::StoreId Sigma) {
-    auto It = Frames.rbegin();
-    if (It == Frames.rend() || It->Entry != Sigma)
-      return;
-    uint64_t Dg = Digests->ofTerm(T);
-    for (; It != Frames.rend() && It->Entry == Sigma; ++It)
-      It->SameStore.insert(Dg);
-  }
-
-  /// Folds a completed (or replayed/memo-hit) subderivation's tracking
-  /// into the enclosing frames, as if it had been walked live.
-  void mergeInfo(const std::vector<uint32_t> &Touched,
-                 const std::vector<uint64_t> &SameStore, bool UsedCut,
-                 domain::StoreId Sigma) {
-    if (Frames.empty())
-      return;
-    Frame &P = Frames.back();
-    P.Touched.insert(Touched.begin(), Touched.end());
-    P.UsedCut |= UsedCut;
-    for (auto It = Frames.rbegin(); It != Frames.rend() && It->Entry == Sigma;
-         ++It)
-      It->SameStore.insert(SameStore.begin(), SameStore.end());
-  }
-
-  void mergeMemoHit(const Key &K, domain::StoreId Sigma) {
-    auto It = MemoTrack.find(K);
-    if (It == MemoTrack.end()) {
-      if (!Frames.empty()) // untracked memo entry: poison the parent
-        Frames.back().SameStore.insert(0);
-      return;
-    }
-    mergeInfo(It->second.Touched, It->second.SameStore, It->second.UsedCut,
-              Sigma);
-  }
-
-  /// Attempts to answer the goal from an imported entry. A hit skips the
-  /// whole subderivation: the answer store is the entry store joined with
-  /// the recorded delta — exactly what the live walk would have built.
-  std::optional<EvalOut> tryReplay(const syntax::Term *T, const Key &K,
-                                   domain::StoreId Sigma) {
-    auto It = Imports.find(T);
-    if (It == Imports.end())
-      return std::nullopt;
-    for (const ImportedEntry &E : It->second) {
-      bool Stale = false;
-      for (const auto &[Slot, V] : E.Required)
-        if (!(Interner.get(Sigma, Slot) == V)) {
-          Stale = true;
-          break;
-        }
-      if (Stale)
-        continue;
-      // A live walk would re-reach one of the entry's same-store inner
-      // goals while it is active above us — the Section 4.4 cut would
-      // fire and the recorded answer would be wrong here. Fall through.
-      bool Conflict = false;
-      for (auto F = Frames.rbegin(); F != Frames.rend() && F->Entry == Sigma;
-           ++F)
-        if (F->Dg != 0 &&
-            std::binary_search(E.SameStore->begin(), E.SameStore->end(),
-                               F->Dg)) {
-          Conflict = true;
-          break;
-        }
-      if (Conflict)
-        continue;
-      ++Stats.ReplayHits;
-      std::optional<IAns> A;
-      if (!E.Dead) {
-        domain::StoreId S = Sigma;
-        for (const auto &[Slot, V] : E.Delta)
-          S = Interner.joinAt(S, Slot, V);
-        A = IAns{E.Answer, S};
-      }
-      if (Opts.UseMemo) {
-        Memo.emplace(K, A);
-        MemoTrack.emplace(
-            K, TrackInfo{E.Touched, *E.SameStore, E.UsedCut});
-      }
-      mergeInfo(E.Touched, *E.SameStore, E.UsedCut, Sigma);
-      return EvalOut{std::move(A), Unconstrained, domain::NoProv};
-    }
-    ++Stats.ReplayMisses;
-    return std::nullopt;
-  }
-
-  /// Pops the completed goal's frame: records its tracking for export if
-  /// the goal is about to memoize, then folds it into the parent.
-  void popFrame(const Key &K, const EvalOut &Out, uint32_t Depth) {
-    Frame F = std::move(Frames.back());
-    Frames.pop_back();
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted && Opts.UseMemo) {
-      TrackInfo TI;
-      TI.Touched.assign(F.Touched.begin(), F.Touched.end());
-      std::sort(TI.Touched.begin(), TI.Touched.end());
-      TI.SameStore.assign(F.SameStore.begin(), F.SameStore.end());
-      std::sort(TI.SameStore.begin(), TI.SameStore.end());
-      TI.UsedCut = F.UsedCut;
-      MemoTrack.emplace(K, std::move(TI));
-    }
-    if (!Frames.empty()) {
-      Frame &P = Frames.back();
-      P.Touched.insert(F.Touched.begin(), F.Touched.end());
-      P.UsedCut |= F.UsedCut;
-      if (P.Entry == F.Entry)
-        P.SameStore.insert(F.SameStore.begin(), F.SameStore.end());
-    }
-  }
-
-  /// Converts every tracked memo entry to portable form. Ordered by
-  /// (term digest, fingerprint) so identical runs export identical
-  /// tables whatever the memo map's iteration order.
-  void exportTable() {
-    auto *Out = static_cast<MemoTable<D> *>(Opts.Xfer->Export);
-    Out->UniverseLamDigests = UniverseDigests;
-    for (const auto &[K, A] : Memo) {
-      auto TIt = MemoTrack.find(K);
-      if (TIt == MemoTrack.end())
-        continue;
-      const TrackInfo &TI = TIt->second;
-      if (!TI.SameStore.empty() && TI.SameStore.front() == 0)
-        continue; // an inner goal's term was outside the digested tree
-      XferEntry<D> E;
-      E.TermDigest =
-          Digests->ofTerm(static_cast<const syntax::Term *>(K.Node));
-      if (E.TermDigest == 0)
-        continue;
-      E.UsedCut = TI.UsedCut;
-      E.SameStoreTerms = TI.SameStore;
-      bool Ok = true;
-      for (uint32_t Slot : TI.Touched) {
-        std::optional<XferVal<D>> XV = toXfer(Interner.get(K.Store, Slot));
-        if (!XV) {
-          Ok = false;
-          break;
-        }
-        E.Required.emplace_back(SpellOfSlot[Slot], std::move(*XV));
-      }
-      if (Ok && !A) {
-        E.Dead = true;
-      } else if (Ok) {
-        std::optional<XferVal<D>> XV = toXfer(A->Value);
-        if (!XV)
-          continue;
-        E.AnswerValue = std::move(*XV);
-        for (uint32_t I = 0; I < Vars->size() && Ok; ++I) {
-          if (Interner.sameSlot(A->Store, K.Store, I))
-            continue;
-          std::optional<XferVal<D>> DV = toXfer(Interner.get(A->Store, I));
-          if (!DV)
-            Ok = false;
-          else
-            E.Delta.emplace_back(SpellOfSlot[I], std::move(*DV));
-        }
-      }
-      if (!Ok)
-        continue;
-      std::sort(E.Required.begin(), E.Required.end(),
-                [](const auto &X, const auto &Y) { return X.first < Y.first; });
-      std::sort(E.Delta.begin(), E.Delta.end(),
-                [](const auto &X, const auto &Y) { return X.first < Y.first; });
-      Out->Entries.push_back(std::move(E));
-    }
-    std::sort(Out->Entries.begin(), Out->Entries.end(),
-              [](const XferEntry<D> &X, const XferEntry<D> &Y) {
-                if (X.TermDigest != Y.TermDigest)
-                  return X.TermDigest < Y.TermDigest;
-                return X.fingerprint() < Y.fingerprint();
-              });
-  }
-
-  /// phi with read tracking (evalUncached call sites only).
-  Val phiR(const syntax::Value *V, domain::StoreId Sigma) {
-    if (XferOn)
-      if (const auto *Var = syntax::dyn_cast<syntax::VarValue>(V))
-        Frames.back().Touched.insert(Vars->of(Var->name()));
-    return phi(V, Sigma);
-  }
-
-  /// joinAt with write-target tracking (evalUncached call sites only).
-  domain::StoreId joinAtW(domain::StoreId Base, uint32_t Slot, const Val &U) {
-    if (XferOn)
-      Frames.back().Touched.insert(Slot);
-    return Interner.joinAt(Base, Slot, U);
   }
 
   const Context &Ctx;
@@ -844,44 +499,6 @@ private:
 
   std::unordered_map<Key, std::optional<IAns>, KeyHash> Memo;
   std::unordered_map<Key, uint32_t, KeyHash> Active;
-
-  // -- Cross-run memo transfer state (engaged only when XferOn).
-
-  /// One live goal's tracking record.
-  struct Frame {
-    const syntax::Term *T;
-    domain::StoreId Entry;
-    uint64_t Dg; ///< subtree digest of T (0 when outside the tree)
-    std::unordered_set<uint32_t> Touched;
-    std::unordered_set<uint64_t> SameStore;
-    bool UsedCut;
-  };
-  /// A memoized goal's completed tracking record (sorted vectors).
-  struct TrackInfo {
-    std::vector<uint32_t> Touched;
-    std::vector<uint64_t> SameStore;
-    bool UsedCut = false;
-  };
-  /// An imported entry rebound to this run's nodes and slots.
-  struct ImportedEntry {
-    std::vector<std::pair<uint32_t, Val>> Required;
-    std::vector<std::pair<uint32_t, Val>> Delta;
-    Val Answer;
-    bool Dead = false;
-    bool UsedCut = false;
-    std::vector<uint32_t> Touched;
-    /// Borrowed from the import table (MemoXfer::Import outlives the run).
-    const std::vector<uint64_t> *SameStore = nullptr;
-  };
-
-  bool XferOn = false;
-  const gen::SubtreeDigests *Digests = nullptr;
-  std::vector<uint64_t> SpellOfSlot;
-  std::unordered_map<uint64_t, uint32_t> SlotOfSpell;
-  std::vector<uint64_t> UniverseDigests;
-  std::vector<Frame> Frames;
-  std::unordered_map<Key, TrackInfo, KeyHash> MemoTrack;
-  std::unordered_map<const syntax::Term *, std::vector<ImportedEntry>> Imports;
 };
 
 } // namespace analysis

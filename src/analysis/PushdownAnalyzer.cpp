@@ -6,7 +6,7 @@
 //
 // The analyzer-name registry shared by the CLI and the serve protocol:
 // one canonicalization function so aliases resolve identically everywhere
-// (and so MemoStore buckets never split across an alias and its canonical
+// (and so result-cache keys never split across an alias and its canonical
 // spelling), plus the rendered valid-choices lists used by rejection
 // messages.
 //

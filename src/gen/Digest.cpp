@@ -7,29 +7,9 @@
 #include "gen/Digest.h"
 
 #include "support/Hashing.h"
-#include "syntax/Analysis.h"
 
 namespace cpsflow {
 namespace gen {
-
-struct detail::SubtreeSink {
-  static void noteTerm(SubtreeDigests &S, const syntax::Term *T, uint64_t D) {
-    S.Terms.emplace(T, D);
-  }
-  static void noteValue(SubtreeDigests &S, const syntax::Value *V,
-                        uint64_t D) {
-    S.Values.emplace(V, D);
-    if (V->kind() == syntax::ValueKind::VK_Lam) {
-      const auto *L = syntax::cast<syntax::LamValue>(V);
-      auto [It, Inserted] = S.Lams.emplace(D, L);
-      // Re-seeing the same digest is fine when it names one shared node
-      // or a structurally identical twin; anything else is a collision.
-      if (!Inserted && It->second != L &&
-          !syntax::structurallyEqual(It->second, L))
-        S.Collided = true;
-    }
-  }
-};
 
 namespace {
 
@@ -58,53 +38,47 @@ enum : uint64_t {
   SaltLoop = 0xB5,
 };
 
-uint64_t digestValue(const Context &Ctx, const syntax::Value *V,
-                     SubtreeDigests *Sink);
+} // namespace
 
-uint64_t digestTerm(const Context &Ctx, const syntax::Term *T,
-                    SubtreeDigests *Sink) {
+uint64_t termDigest(const Context &Ctx, const syntax::Term *T) {
   using namespace syntax;
   uint64_t H = 0;
   switch (T->kind()) {
   case TermKind::TK_Value:
     H = SaltValueTerm;
-    hashCombine(H, digestValue(Ctx, cast<ValueTerm>(T)->value(), Sink));
+    hashCombine(H, valueDigest(Ctx, cast<ValueTerm>(T)->value()));
     break;
   case TermKind::TK_App: {
     const auto *A = cast<AppTerm>(T);
     H = SaltApp;
-    hashCombine(H, digestTerm(Ctx, A->fun(), Sink));
-    hashCombine(H, digestTerm(Ctx, A->arg(), Sink));
+    hashCombine(H, termDigest(Ctx, A->fun()));
+    hashCombine(H, termDigest(Ctx, A->arg()));
     break;
   }
   case TermKind::TK_Let: {
     const auto *L = cast<LetTerm>(T);
     H = SaltLet;
     hashCombine(H, stringHash(Ctx.spelling(L->var())));
-    hashCombine(H, digestTerm(Ctx, L->bound(), Sink));
-    hashCombine(H, digestTerm(Ctx, L->body(), Sink));
+    hashCombine(H, termDigest(Ctx, L->bound()));
+    hashCombine(H, termDigest(Ctx, L->body()));
     break;
   }
   case TermKind::TK_If0: {
     const auto *I = cast<If0Term>(T);
     H = SaltIf0;
-    hashCombine(H, digestTerm(Ctx, I->cond(), Sink));
-    hashCombine(H, digestTerm(Ctx, I->thenBranch(), Sink));
-    hashCombine(H, digestTerm(Ctx, I->elseBranch(), Sink));
+    hashCombine(H, termDigest(Ctx, I->cond()));
+    hashCombine(H, termDigest(Ctx, I->thenBranch()));
+    hashCombine(H, termDigest(Ctx, I->elseBranch()));
     break;
   }
   case TermKind::TK_Loop:
     H = SaltLoop;
     break;
   }
-  uint64_t D = mix64(H);
-  if (Sink)
-    detail::SubtreeSink::noteTerm(*Sink, T, D);
-  return D;
+  return mix64(H);
 }
 
-uint64_t digestValue(const Context &Ctx, const syntax::Value *V,
-                     SubtreeDigests *Sink) {
+uint64_t valueDigest(const Context &Ctx, const syntax::Value *V) {
   using namespace syntax;
   uint64_t H = 0;
   switch (V->kind()) {
@@ -123,24 +97,11 @@ uint64_t digestValue(const Context &Ctx, const syntax::Value *V,
     const auto *L = cast<LamValue>(V);
     H = SaltLam;
     hashCombine(H, stringHash(Ctx.spelling(L->param())));
-    hashCombine(H, digestTerm(Ctx, L->body(), Sink));
+    hashCombine(H, termDigest(Ctx, L->body()));
     break;
   }
   }
-  uint64_t D = mix64(H);
-  if (Sink)
-    detail::SubtreeSink::noteValue(*Sink, V, D);
-  return D;
-}
-
-} // namespace
-
-uint64_t termDigest(const Context &Ctx, const syntax::Term *T) {
-  return digestTerm(Ctx, T, nullptr);
-}
-
-uint64_t valueDigest(const Context &Ctx, const syntax::Value *V) {
-  return digestValue(Ctx, V, nullptr);
+  return mix64(H);
 }
 
 uint64_t textDigest(std::string_view Text) { return stringHash(Text); }
@@ -155,11 +116,6 @@ uint64_t textDigest2(std::string_view Text) {
     H *= 0x00000100000001b3ull ^ 0x200;
   }
   return mix64(H ^ (H >> 32));
-}
-
-void computeSubtreeDigests(const Context &Ctx, const syntax::Term *Root,
-                           SubtreeDigests &Out) {
-  digestTerm(Ctx, Root, &Out);
 }
 
 } // namespace gen

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 
 namespace cpsflow {
 namespace gen {
@@ -47,73 +46,6 @@ uint64_t textDigest(std::string_view Text);
 /// result: verifying both digests (and the length) shrinks the accident
 /// surface from 2^-64 to effectively zero.
 uint64_t textDigest2(std::string_view Text);
-
-namespace detail {
-/// Private write access to SubtreeDigests for the single-pass builder in
-/// Digest.cpp; keeps the table read-only to everyone else.
-struct SubtreeSink;
-} // namespace detail
-
-/// Per-subtree structural digests of one normalized program: every Term
-/// and Value node of the tree, mapped to its termDigest/valueDigest,
-/// computed in a single bottom-up pass (so the whole table costs what one
-/// root digest costs). The table is what makes cross-request memo reuse
-/// content-addressed: two occurrences of the same subtree — in the same
-/// program or across an edit — carry the same digest iff they are
-/// structurally equal with identical identifier spellings.
-///
-/// LamByDigest additionally indexes every lambda node by its value
-/// digest, giving the import side of memo transfer a way to rebind
-/// recorded abstract closures to this program's nodes. A digest mapping
-/// to two structurally distinct lambdas would be a 64-bit collision; the
-/// builder keeps the first and marks the table (collided()) so callers
-/// can refuse reuse rather than misbind.
-class SubtreeDigests {
-public:
-  /// Digest of \p T, or 0 if \p T is not a node of the annotated tree
-  /// (0 is never a valid mix64 output for practical purposes; callers
-  /// treat it as "not annotated, do not reuse").
-  uint64_t ofTerm(const syntax::Term *T) const {
-    auto It = Terms.find(T);
-    return It == Terms.end() ? 0 : It->second;
-  }
-
-  uint64_t ofValue(const syntax::Value *V) const {
-    auto It = Values.find(V);
-    return It == Values.end() ? 0 : It->second;
-  }
-
-  /// The lambda of this tree whose valueDigest is \p Digest, or null.
-  const syntax::LamValue *lamOf(uint64_t Digest) const {
-    auto It = Lams.find(Digest);
-    return It == Lams.end() ? nullptr : It->second;
-  }
-
-  /// True when two distinct subtrees collided on one digest; reuse
-  /// machinery must treat the whole table as untrustworthy.
-  bool collided() const { return Collided; }
-
-  size_t termCount() const { return Terms.size(); }
-
-  /// Calls \p Fn(node, digest) for every Term of the annotated tree in
-  /// unspecified order — for building reverse digest-to-node indices.
-  template <typename F> void eachTerm(F &&Fn) const {
-    for (const auto &[T, D] : Terms)
-      Fn(T, D);
-  }
-
-private:
-  friend struct detail::SubtreeSink;
-  std::unordered_map<const syntax::Term *, uint64_t> Terms;
-  std::unordered_map<const syntax::Value *, uint64_t> Values;
-  std::unordered_map<uint64_t, const syntax::LamValue *> Lams;
-  bool Collided = false;
-};
-
-/// Fills \p Out with the digest of every subtree of \p Root. Digests
-/// agree exactly with termDigest/valueDigest on each node.
-void computeSubtreeDigests(const Context &Ctx, const syntax::Term *Root,
-                           SubtreeDigests &Out);
 
 } // namespace gen
 } // namespace cpsflow

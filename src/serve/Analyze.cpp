@@ -14,8 +14,6 @@
 #include "analysis/SyntacticCpsAnalyzer.h"
 #include "anf/Anf.h"
 #include "cps/Transform.h"
-#include "gen/Digest.h"
-#include "serve/MemoStore.h"
 #include "support/FaultInjector.h"
 #include "support/Json.h"
 #include "syntax/Analysis.h"
@@ -75,14 +73,9 @@ AnalyzeOutcome renderResult(const Context &Ctx, const ServeRequest &Req,
   W.key("summaryEntries").value(Stats.SummaryEntries);
   W.key("summaryReuseDepth");
   Stats.SummaryReuseDepth.writeJson(W);
-  W.key("replayHits").value(Stats.ReplayHits);
-  W.key("replayMisses").value(Stats.ReplayMisses);
   W.endObject();
   W.endObject();
   Out.PayloadJson = W.str();
-  Out.ReplayHits = Stats.ReplayHits;
-  Out.ReplayMisses = Stats.ReplayMisses;
-  Out.Incremental = Stats.ReplayHits != 0 || Stats.ReplayMisses != 0;
   Out.Goals = Stats.Goals;
   Out.DegradeReason = support::str(Stats.Degraded);
   return Out;
@@ -155,36 +148,6 @@ AnalyzeOutcome analyzeLeg(const ServeRequest &Req, const AnalyzeConfig &Cfg) {
                                  "phase", Cfg.TraceTid);
   AnalyzeOutcome Out = [&]() -> AnalyzeOutcome {
   if (Req.Analyzer == "direct") {
-    if (Cfg.Memo && Req.Incremental) {
-      MemoStoreKey MKey;
-      MKey.Analyzer = Req.Analyzer;
-      MKey.Domain = Req.Domain;
-      MKey.MaxGoals = Cfg.MaxGoals;
-      MKey.LoopUnroll = Req.LoopUnroll;
-      MKey.DupBudget = Req.DupBudget;
-      MKey.UseSummaries = Req.UseSummaries;
-
-      gen::SubtreeDigests Digests;
-      gen::computeSubtreeDigests(Ctx, Anf, Digests);
-      std::shared_ptr<const analysis::MemoTable<D>> Import =
-          Cfg.Memo->snapshot<D>(MKey);
-      analysis::MemoTable<D> Export;
-      analysis::MemoXfer X{&Digests, Import.get(), &Export};
-      analysis::AnalyzerOptions WOpts = AOpts;
-      WOpts.Xfer = &X;
-      auto R = analysis::DirectAnalyzer<D>(Ctx, Anf, Init, WOpts).run();
-      if (R.Stats.BudgetExhausted &&
-          (R.Stats.ReplayHits || R.Stats.ReplayMisses)) {
-        // A degraded warm run is the one case where replay shifts where
-        // the budget wall lands, so the degraded answer could differ from
-        // a cold run's. Recompute cold: the response a client sees is
-        // never a function of the memo store's state.
-        R = analysis::DirectAnalyzer<D>(Ctx, Anf, Init, AOpts).run();
-      } else if (!R.Stats.BudgetExhausted) {
-        Cfg.Memo->merge<D>(MKey, std::move(Export));
-      }
-      return renderResult(Ctx, Req, Nodes, R.Answer.Value.str(Ctx), R.Stats);
-    }
     auto R = analysis::DirectAnalyzer<D>(Ctx, Anf, Init, AOpts).run();
     return renderResult(Ctx, Req, Nodes, R.Answer.Value.str(Ctx), R.Stats);
   }
@@ -203,9 +166,6 @@ AnalyzeOutcome analyzeLeg(const ServeRequest &Req, const AnalyzeConfig &Cfg) {
     return renderResult(Ctx, Req, Nodes, R.Answer.Value.str(Ctx), R.Stats);
   }
   if (Req.Analyzer == "pushdown") {
-    // Always a cold run: the subtree-replay transfer (Xfer) keys direct
-    // memo entries, and the pushdown memo is per-run. MemoStore bucketing
-    // still works — the key carries the canonical analyzer name.
     auto R = analysis::PushdownAnalyzer<D>(Ctx, Anf, Init, AOpts).run();
     return renderResult(Ctx, Req, Nodes, R.Answer.Value.str(Ctx), R.Stats);
   }

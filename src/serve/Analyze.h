@@ -35,8 +35,6 @@
 namespace cpsflow {
 namespace serve {
 
-class MemoStore;
-
 /// Server-side budgets and ceilings applied to one analysis. The caller
 /// (Server) resolves these from its own defaults and the request's
 /// overrides before dispatching.
@@ -48,9 +46,6 @@ struct AnalyzeConfig {
   /// Process-wide drain/interrupt token; in-flight analyses degrade
   /// through the governor when it fires.
   std::shared_ptr<support::CancelToken> Interrupt;
-  /// Hot cross-request memo store, or null to run every request cold.
-  /// Consulted only when the request also asks for incremental mode.
-  MemoStore *Memo = nullptr;
   /// When non-null, the run wraps its phases in TraceSpans and samples
   /// per-goal instants here (slow-request capture: the worker owns one
   /// tracer, clears it per request, and spills the events only when the
@@ -69,13 +64,6 @@ struct AnalyzeOutcome {
   std::string PayloadJson; ///< deterministic result object
   bool Degraded = false;   ///< some governor/budget wall was hit
   std::string Answer;      ///< rendered abstract answer (loadgen --verify)
-  /// True when memo replay participated (replayHits/replayMisses != 0):
-  /// the answer is byte-identical to a cold run's, but the stats block
-  /// reflects the warm walk, so the payload must not enter the
-  /// byte-canonical result cache.
-  bool Incremental = false;
-  uint64_t ReplayHits = 0;
-  uint64_t ReplayMisses = 0;
 
   // -- observability (request-log material; never part of PayloadJson,
   // so the payload stays deterministic and cacheable)

@@ -104,7 +104,7 @@ Result<ServeRequest> cpsflow::serve::parseServeRequest(const std::string &Line) 
     } else if (Key == "analyzer") {
       // Canonicalize through the shared analyzer-name registry so aliases
       // (pd, scps, ...) resolve here exactly as in the CLI — and so the
-      // MemoStore, keyed on the canonical spelling, never splits one
+      // result cache, keyed on the canonical spelling, never splits one
       // analyzer's results across an alias and its canonical name.
       std::optional<std::string> Canon;
       if (Val.isString())
@@ -150,9 +150,10 @@ Result<ServeRequest> cpsflow::serve::parseServeRequest(const std::string &Line) 
         return Error("field 'noCache' must be a boolean");
       Req.NoCache = Val.asBool();
     } else if (Key == "incremental") {
+      // Accepted and ignored: every request runs cold. Still type-checked
+      // so old clients keep working and a malformed value stays an error.
       if (!Val.isBool())
         return Error("field 'incremental' must be a boolean");
-      Req.Incremental = Val.asBool();
     } else if (Key == "format") {
       if (!Val.isString() ||
           (Val.asString() != "json" && Val.asString() != "prometheus"))

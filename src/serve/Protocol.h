@@ -92,9 +92,6 @@ struct ServeRequest {
   double DeadlineMs = -1;  ///< <0 = server default; 0 = no deadline
   bool UseSummaries = true;
   bool NoCache = false;    ///< bypass the result cache for this request
-  /// Allow cross-request memo reuse (the hot MemoStore) for this request.
-  /// Off: the analysis runs cold and publishes nothing.
-  bool Incremental = true;
 };
 
 /// Parses one request line. Any failure is a protocol error with a

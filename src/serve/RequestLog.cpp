@@ -52,8 +52,6 @@ std::string cpsflow::serve::renderRequestRecord(const RequestRecord &R) {
   if (!R.CacheOutcome.empty())
     O << ",\"cache\":\"" << jsonEscape(R.CacheOutcome) << '"';
   O << ",\"goals\":" << R.Goals;
-  O << ",\"replayHits\":" << R.ReplayHits;
-  O << ",\"replayMisses\":" << R.ReplayMisses;
   keyUs(O, "queueUs", R.QueueUs);
   keyUs(O, "parseUs", R.ParseUs);
   keyUs(O, "cpsUs", R.CpsUs);

@@ -9,7 +9,7 @@
 /// request leaves exactly one line-delimited JSON record carrying its
 /// identity (the request id minted at admission), what was asked
 /// (analyzer/domain/source digest), what happened (outcome, failure
-/// taxonomy kind, degrade reason, cache interaction, replay counters),
+/// taxonomy kind, degrade reason, cache interaction, goal count),
 /// and where the time went (queue / parse / cps / analyze / total).
 ///
 /// Two consumers share the record type:
@@ -41,7 +41,7 @@ namespace serve {
 /// Schema version stamped into every log record and flight-recorder
 /// dump ("schema" field). Bump on any breaking field change; `cpsflow
 /// version` reports it.
-inline constexpr int RequestLogSchemaVersion = 1;
+inline constexpr int RequestLogSchemaVersion = 2;
 
 /// Everything the serving layer knows about one admitted request.
 /// Filled incrementally: admission mints ReqId and the identity fields,
@@ -67,8 +67,6 @@ struct RequestRecord {
   /// never reached the cache, e.g. shed).
   std::string CacheOutcome;
   uint64_t Goals = 0;
-  uint64_t ReplayHits = 0;
-  uint64_t ReplayMisses = 0;
 
   // -- timing phases, microseconds
   double QueueUs = 0;   ///< admission to worker pickup

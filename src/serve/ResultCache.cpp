@@ -29,9 +29,10 @@ namespace {
 
 constexpr const char *Magic = "cpsflow-cache";
 // v2 added the source length and second source digest to the header (the
-// filename-hash collision guard). A v1 entry after an upgrade is simply
+// filename-hash collision guard); v3 payloads no longer carry the replay
+// counters in their stats block. An older entry after an upgrade is simply
 // removed and re-filled — a format change is not corruption.
-constexpr int FormatVersion = 2;
+constexpr int FormatVersion = 3;
 
 /// How old a leaked `.tmp.*` file must be before the open-time sweep
 /// removes it even though its pid appears alive (pid reuse): no real

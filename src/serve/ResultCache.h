@@ -31,7 +31,7 @@
 /// Crash safety. An entry is a checksummed frame
 ///
 /// \code
-///   cpsflow-cache 2 <payload-bytes> <fnv64-hex> <source-len> <digest2-hex>\n<payload>
+///   cpsflow-cache 3 <payload-bytes> <fnv64-hex> <source-len> <digest2-hex>\n<payload>
 /// \endcode
 ///
 /// written to a unique temp file and published with an atomic rename —

@@ -63,7 +63,6 @@ Server::Server(ServeOptions Opts)
   if (this->Opts.Workers == 0)
     this->Opts.Workers = 1;
   this->Opts.Defaults.Interrupt = Interrupt;
-  this->Opts.Defaults.Memo = this->Opts.Incremental ? &Memo : nullptr;
 }
 
 Server::~Server() {
@@ -102,9 +101,7 @@ Result<bool> Server::start() {
          {"serve.requests", "serve.analyze.admitted",
           "serve.analyze.responded", "serve.analyze.failed", "serve.shed",
           "serve.ok", "serve.cached", "serve.degraded",
-          "serve.memo.warmRuns", "serve.memo.replayHits",
-          "serve.memo.replayMisses", "serve.trace.captured",
-          "serve.trace.dropped"})
+          "serve.trace.captured", "serve.trace.dropped"})
       Metrics.add(Name, 0);
     for (ServeErrorKind K :
          {ServeErrorKind::Parse, ServeErrorKind::Cps,
@@ -510,8 +507,6 @@ std::string Server::handleAnalyze(const ServeRequest &Req,
   double RunMs = usSince(TRun) / 1000.0;
 
   Rec.Goals = Out.Goals;
-  Rec.ReplayHits = Out.ReplayHits;
-  Rec.ReplayMisses = Out.ReplayMisses;
   Rec.ParseUs = Out.ParseUs;
   Rec.CpsUs = Out.CpsUs;
   Rec.AnalyzeUs = Out.AnalyzeUs;
@@ -555,10 +550,7 @@ std::string Server::handleAnalyze(const ServeRequest &Req,
 
   // Only complete (non-degraded) results are cached: a degraded answer
   // depends on wall-clock and ceilings that are not part of the key.
-  // Warm (replay-assisted) payloads stay out too: their answer is
-  // byte-identical to cold, but their stats block reflects the warm walk,
-  // and the cache is byte-canonical per key.
-  if (UseCache && !Out.Degraded && !Out.Incremental) {
+  if (UseCache && !Out.Degraded) {
     Cache->store(Key, Out.PayloadJson);
     Rec.CacheOutcome = "store";
   }
@@ -567,12 +559,6 @@ std::string Server::handleAnalyze(const ServeRequest &Req,
     Metrics.add("serve.ok", 1);
     if (Out.Degraded)
       Metrics.add("serve.degraded", 1);
-    if (Out.Incremental)
-      Metrics.add("serve.memo.warmRuns", 1);
-    if (Out.ReplayHits)
-      Metrics.add("serve.memo.replayHits", Out.ReplayHits);
-    if (Out.ReplayMisses)
-      Metrics.add("serve.memo.replayMisses", Out.ReplayMisses);
   }
   return analyzeResponse(Req, Out.PayloadJson, /*Cached=*/false);
 }
@@ -635,11 +621,6 @@ void Server::refreshDerivedLocked(size_t Queued, size_t Running) {
   Metrics.set("serve.cache.corrupt", CS.Corrupt);
   Metrics.set("serve.cache.collisions", CS.Collisions);
   Metrics.set("serve.cache.sweptTmp", CS.SweptTmp);
-
-  MemoStore::StoreStats MS =
-      Opts.Incremental ? Memo.stats() : MemoStore::StoreStats{};
-  Metrics.setGauge("serve.memo.tables", MS.Tables);
-  Metrics.setGauge("serve.memo.entries", MS.Entries);
 
   Metrics.setGauge("serve.queue.depth", Queued);
   Metrics.setGauge("serve.queue.executing", Running);

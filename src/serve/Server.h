@@ -38,7 +38,6 @@
 
 #include "serve/Analyze.h"
 #include "serve/FlightRecorder.h"
-#include "serve/MemoStore.h"
 #include "serve/Protocol.h"
 #include "serve/RequestLog.h"
 #include "serve/ResultCache.h"
@@ -70,10 +69,6 @@ struct ServeOptions {
   /// How long drain lets in-flight analyses run before firing the
   /// interrupt token that degrades them.
   double DrainGraceMs = 2000;
-  /// Keep memo tables hot across requests so re-analysis after an edit
-  /// replays unchanged subtrees (docs/SERVE.md). Off: every request runs
-  /// cold, as if the daemon had just started.
-  bool Incremental = true;
   /// Default budgets for requests that do not override them.
   AnalyzeConfig Defaults;
 
@@ -160,7 +155,7 @@ private:
   /// before the response line goes out, so an observer that has received
   /// every response sees admitted == responded + shed + failed.
   void finishRecord(RequestRecord &Rec);
-  /// Mirrors derived state (cache/memo/queue/log/flight) into the
+  /// Mirrors derived state (cache/queue/log/flight) into the
   /// registry. Caller holds MetricsMu; queue stats are passed in because
   /// they live under QMu and the two locks never nest.
   void refreshDerivedLocked(size_t Queued, size_t Running);
@@ -169,7 +164,6 @@ private:
 
   ServeOptions Opts;
   std::unique_ptr<ResultCache> Cache;
-  MemoStore Memo;
   std::unique_ptr<RequestLog> Log;
   std::unique_ptr<FlightRecorder> Flight;
   /// One tracer per worker (slow-request capture); deque because Tracer

@@ -328,7 +328,7 @@ TEST(RequestLogUnit, RenderedRecordHasStableSchemaAndFieldOrder) {
   R.TotalUs = 99.5;
   R.Worker = 1;
   std::string Line = renderRequestRecord(R);
-  EXPECT_EQ(Line.find("{\"schema\":1,\"req\":7,\"id\":42,"), 0u) << Line;
+  EXPECT_EQ(Line.find("{\"schema\":2,\"req\":7,\"id\":42,"), 0u) << Line;
   // Field order is part of the schema: timings always in queue -> parse
   // -> cps -> analyze -> total order, so log consumers can stream-parse.
   size_t Q = Line.find("\"queueUs\":12.2");
@@ -339,6 +339,9 @@ TEST(RequestLogUnit, RenderedRecordHasStableSchemaAndFieldOrder) {
   ASSERT_NE(Q, std::string::npos) << Line;
   ASSERT_NE(T, std::string::npos) << Line;
   EXPECT_TRUE(Q < P && P < C && C < A && A < T) << Line;
+  // The goal count is the only work field; the timings follow it.
+  EXPECT_NE(Line.find("\"goals\":5,\"queueUs\":"), std::string::npos)
+      << Line;
   EXPECT_NE(Line.find("\"outcome\":\"degraded\""), std::string::npos);
   EXPECT_NE(Line.find("\"degradeReason\":\"deadline\""), std::string::npos);
   EXPECT_NE(Line.find("\"cache\":\"miss\""), std::string::npos);
@@ -541,10 +544,9 @@ TEST_F(ServeObsTest, FormatFieldIsAProtocolErrorOutsideMetrics) {
 }
 
 TEST_F(ServeObsTest, StatsExposesMemoAndCacheCountersUniformly) {
-  // Satellite contract: the stats surface carries serve.memo.* and
-  // serve.cache.* keys whether or not the features are enabled, so
-  // dashboards never see a key flap.
-  Opts.Incremental = false;
+  // Satellite contract: the stats surface carries serve.cache.* keys
+  // whether or not the cache is enabled, so dashboards never see a key
+  // flap. No serve.memo.* key exists: there is no cross-request memo.
   start();
   TestClient C;
   ASSERT_TRUE(C.connectTo(Opts.SocketPath));
@@ -553,12 +555,12 @@ TEST_F(ServeObsTest, StatsExposesMemoAndCacheCountersUniformly) {
   const JsonValue *S = D.find("stats");
   ASSERT_NE(S, nullptr);
   for (const char *Key :
-       {"serve.memo.tables", "serve.memo.entries", "serve.memo.replayHits",
-        "serve.cache.hits", "serve.cache.misses", "serve.queue.depth",
+       {"serve.cache.hits", "serve.cache.misses", "serve.queue.depth",
         "serve.log.written", "serve.flight.capacity"})
     EXPECT_NE(S->find(Key), nullptr) << "stats missing " << Key;
-  EXPECT_EQ(S->numberOr("serve.memo.tables", -1), 0);
   EXPECT_EQ(S->numberOr("serve.cache.hits", -1), 0);
+  for (const auto &[Key, Val] : S->members())
+    EXPECT_NE(Key.rfind("serve.memo.", 0), 0u) << "stale key " << Key;
 }
 
 TEST_F(ServeObsTest, EveryAdmittedRequestGetsExactlyOneLogRecord) {
@@ -739,7 +741,7 @@ TEST_F(ServeObsTest, SlowRequestsSpillBoundedChromeTraces) {
 }
 
 TEST_F(ServeObsTest, SchemaVersionsAreStable) {
-  EXPECT_EQ(RequestLogSchemaVersion, 1);
+  EXPECT_EQ(RequestLogSchemaVersion, 2);
   EXPECT_EQ(FlightRecorderSchemaVersion, 1);
 }
 

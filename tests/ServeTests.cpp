@@ -11,10 +11,12 @@
 /// taxonomy error) even under injected worker faults; malformed input is
 /// a protocol error, never a dead connection; admission past the queue
 /// high-water mark sheds with kind "shed"; the result cache serves
-/// byte-identical answers; and drain answers everything before exit.
+/// byte-identical answers; drain answers everything before exit; and
+/// every served answer is the one the in-process batch driver computes.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "clients/Batch.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "support/FaultInjector.h"
@@ -30,7 +32,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
 using namespace cpsflow;
 using namespace cpsflow::serve;
@@ -158,6 +163,10 @@ std::string analyzeReq(const std::string &Program,
                        const std::string &Extra = "") {
   std::string P;
   for (char C : Program) {
+    if (C == '\n') {
+      P += "\\n";
+      continue;
+    }
     if (C == '"' || C == '\\')
       P.push_back('\\');
     P.push_back(C);
@@ -182,6 +191,99 @@ TEST_F(ServeTest, AnalyzeAnswersAcrossAnalyzersAndDomains) {
       EXPECT_NE(R->find("answer"), nullptr);
       EXPECT_NE(R->find("stats"), nullptr);
     }
+}
+
+/// The batch leg that runs \p Analyzer (a canonical serve name).
+const clients::BatchAnalyzerRecord &
+batchLeg(const clients::BatchProgramResult &P, const std::string &Analyzer) {
+  if (Analyzer == "semantic")
+    return P.Semantic;
+  if (Analyzer == "syntactic")
+    return P.Syntactic;
+  if (Analyzer == "dup")
+    return P.Dup;
+  if (Analyzer == "pushdown")
+    return P.Pushdown;
+  return P.Direct;
+}
+
+TEST_F(ServeTest, ServedAnswersEqualInProcessRuns) {
+  // A serve request runs the same cold analyzer code as the batch
+  // driver. For every corpus program and analyzer, the served answer and
+  // its goal and cut counts equal an in-process batch run at the same
+  // options (the defaults of both), and asking again returns a
+  // byte-identical result block. Cache off, two concurrent clients, at
+  // one and at four workers.
+  std::vector<std::string> Files =
+      clients::collectCorpus(std::string(CPSFLOW_SOURCE_DIR) +
+                             "/examples/corpus")
+          .take();
+  ASSERT_FALSE(Files.empty());
+  clients::BatchResult Ref =
+      clients::runBatchFiles(Files, clients::BatchOptions());
+  for (const clients::BatchProgramResult &P : Ref.Programs)
+    ASSERT_TRUE(P.Ok) << P.Name << ": " << P.Error;
+  std::vector<std::string> Sources;
+  for (const std::string &F : Files) {
+    std::ifstream In(F);
+    Sources.emplace_back(std::istreambuf_iterator<char>(In),
+                         std::istreambuf_iterator<char>());
+  }
+
+  for (unsigned Workers : {1u, 4u}) {
+    Server.reset();
+    Opts.Workers = Workers;
+    start();
+    std::vector<std::string> Failures[2];
+    std::vector<std::thread> Clients;
+    for (int T = 0; T < 2; ++T)
+      Clients.emplace_back([&, T] {
+        std::vector<std::string> &Fail = Failures[T];
+        TestClient C;
+        if (!C.connectTo(Opts.SocketPath)) {
+          Fail.push_back("cannot connect");
+          return;
+        }
+        for (size_t I = 0; I < Files.size(); ++I)
+          for (std::string A :
+               {"direct", "semantic", "syntactic", "dup", "pushdown"}) {
+            std::string Where = Ref.Programs[I].Name + "/" + A + ": ";
+            std::string Req =
+                analyzeReq(Sources[I], ",\"analyzer\":\"" + A + "\"");
+            std::string First = C.roundTrip(Req);
+            std::string Second = C.roundTrip(Req);
+            Result<JsonValue> Doc = parseJson(First);
+            const JsonValue *R =
+                Doc.hasValue() && isOk(*Doc) ? Doc->find("result") : nullptr;
+            const JsonValue *Stats = R ? R->find("stats") : nullptr;
+            if (!Stats || !R->find("answer")) {
+              Fail.push_back(Where + "no result in " + First);
+              continue;
+            }
+            const clients::BatchAnalyzerRecord &Leg =
+                batchLeg(Ref.Programs[I], A);
+            if (R->find("answer")->asString() != Leg.Answer)
+              Fail.push_back(Where + "answer " +
+                             R->find("answer")->asString() + " vs " +
+                             Leg.Answer);
+            if (Stats->numberOr("goals", -1) !=
+                    static_cast<double>(Leg.Stats.Goals) ||
+                Stats->numberOr("cuts", -1) !=
+                    static_cast<double>(Leg.Stats.Cuts))
+              Fail.push_back(Where + "goals/cuts differ from batch");
+            size_t R1 = First.find("\"result\":");
+            size_t R2 = Second.find("\"result\":");
+            if (R2 == std::string::npos ||
+                First.substr(R1) != Second.substr(R2))
+              Fail.push_back(Where + "second answer differs: " + Second);
+          }
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    for (int T = 0; T < 2; ++T)
+      for (const std::string &F : Failures[T])
+        ADD_FAILURE() << Workers << " workers, client " << T << ": " << F;
+  }
 }
 
 TEST_F(ServeTest, CacheServesByteIdenticalSecondAnswer) {
@@ -223,19 +325,13 @@ TEST_F(ServeTest, CorruptedCacheEntryIsRecomputedIdentically) {
   }
   ASSERT_EQ(Count, 1u);
 
-  // Pin the recompute cold: a warm recompute would replay memo entries
-  // seeded by the first request, and its stats block (replayHits)
-  // legitimately differs from the original cold payload. Byte identity
-  // of the full result is a cold-vs-cold contract; warm-vs-cold answer
-  // identity is ServeIncrementalTests' concern.
-  std::string Warm =
-      C.roundTrip(analyzeReq(Program, ",\"incremental\":false"));
-  JsonValue D = parsed(Warm);
-  ASSERT_TRUE(isOk(D)) << Warm;
+  std::string Again = C.roundTrip(analyzeReq(Program));
+  JsonValue D = parsed(Again);
+  ASSERT_TRUE(isOk(D)) << Again;
   EXPECT_FALSE(D.find("cached")->asBool())
       << "a corrupt entry must recompute, not serve";
-  size_t R1 = Cold.find("\"result\":"), R2 = Warm.find("\"result\":");
-  EXPECT_EQ(Cold.substr(R1), Warm.substr(R2))
+  size_t R1 = Cold.find("\"result\":"), R2 = Again.find("\"result\":");
+  EXPECT_EQ(Cold.substr(R1), Again.substr(R2))
       << "recomputed answer must match the original byte for byte";
   ASSERT_NE(Server->cache(), nullptr);
   EXPECT_EQ(Server->cache()->stats().Corrupt, 1u);
@@ -445,6 +541,23 @@ TEST(ServeProtocol, OversizedRequestIsRejected) {
   Big += "\"}";
   Result<ServeRequest> R = parseServeRequest(Big);
   EXPECT_FALSE(R.hasValue());
+}
+
+TEST(ServeProtocol, IncrementalFieldIsAcceptedAndIgnoredButTypeChecked) {
+  // Kept for old clients: every request runs cold, so a boolean is a
+  // no-op, while any other type is still a protocol error.
+  for (const char *Flag : {"true", "false"}) {
+    Result<ServeRequest> R = parseServeRequest(
+        std::string("{\"op\":\"analyze\",\"program\":\"1\","
+                    "\"incremental\":") +
+        Flag + "}");
+    EXPECT_TRUE(R.hasValue()) << Flag;
+  }
+  Result<ServeRequest> Bad = parseServeRequest(
+      "{\"op\":\"analyze\",\"program\":\"1\",\"incremental\":1}");
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_NE(Bad.error().str().find("incremental"), std::string::npos)
+      << Bad.error().str();
 }
 
 TEST(ServeProtocol, ErrorKindsRenderTheTaxonomy) {

@@ -147,7 +147,6 @@ struct Options {
   uint64_t QueueCap = 64;     ///< admission high-water mark.
   std::string CacheDir;       ///< result-cache directory; empty = off.
   double DrainGraceMs = 2000; ///< drain grace before degrading work.
-  bool NoIncremental = false; ///< disable cross-request memo reuse.
   std::string LogOut;         ///< request-log file; empty = off.
   uint64_t LogRotateMb = 64;  ///< request-log rotation cap (0 = never).
   uint64_t FlightRecords = 256; ///< flight-recorder ring; 0 = off.
@@ -228,8 +227,6 @@ struct Options {
       "                             (omitted = caching off)\n"
       "          --drain-grace-ms N grace before in-flight analyses are\n"
       "                             degraded on drain (default 2000)\n"
-      "          --no-incremental   disable cross-request memo reuse\n"
-      "                             (every analysis runs cold)\n"
       "          --log-out FILE     structured request log: one JSON line\n"
       "                             per finished analyze request\n"
       "          --log-rotate-mb N  rotate the request log past N MiB\n"
@@ -398,8 +395,6 @@ Options parseArgs(int Argc, char **Argv) {
       O.CacheDir = Argv[++I];
     } else if (A == "--drain-grace-ms" && I + 1 < Argc) {
       O.DrainGraceMs = flagMs("--drain-grace-ms", Argv[++I]);
-    } else if (A == "--no-incremental") {
-      O.NoIncremental = true;
     } else if (A == "--log-out" && I + 1 < Argc) {
       O.LogOut = Argv[++I];
     } else if (A == "--log-rotate-mb" && I + 1 < Argc) {
@@ -1409,7 +1404,6 @@ int cmdServe(const Options &O) {
   SOpts.QueueCap = static_cast<size_t>(O.QueueCap);
   SOpts.CacheDir = O.CacheDir;
   SOpts.DrainGraceMs = O.DrainGraceMs;
-  SOpts.Incremental = !O.NoIncremental;
   SOpts.LogPath = O.LogOut;
   SOpts.LogRotateBytes = O.LogRotateMb * 1024 * 1024;
   SOpts.FlightRecords = static_cast<size_t>(O.FlightRecords);

@@ -41,7 +41,6 @@
 #include <cerrno>
 
 #include <algorithm>
-#include <cctype>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -69,13 +68,6 @@ struct Options {
   std::string Domain = "constant";
   bool Verify = false;
   std::string OutFile;
-  /// Edit-replay mode: one client mutates one leaf of the first corpus
-  /// program per iteration and measures warm (incremental) vs cold
-  /// re-analysis on the same daemon.
-  bool EditReplay = false;
-  /// Fail if warm goals exceed this fraction of cold goals across the
-  /// edit-replay run (<= 0 disables the gate).
-  double MaxGoalRatio = 0;
   /// Scrape mode: fetch the metrics op in both formats, validate the
   /// Prometheus exposition, and check the counter-consistency invariant.
   bool Scrape = false;
@@ -94,13 +86,8 @@ struct Options {
                "pushdown]\n"
                "               [--domain constant|unit|sign|parity|interval]\n"
                "               [--verify] [--out FILE]\n"
-               "               [--edit-replay] [--max-goal-ratio F]\n"
                "       loadgen SOCKET --scrape [--strict-invariant] "
                "[--out FILE]\n"
-               "--edit-replay mutates one numeric leaf of the first corpus\n"
-               "program per iteration and measures warm (incremental) vs\n"
-               "cold re-analysis; --max-goal-ratio F fails the run when\n"
-               "warm goals exceed F * cold goals\n"
                "--scrape fetches the metrics op (Prometheus + JSON),\n"
                "validates the exposition, and fails unless admitted >=\n"
                "responded + shed + failed (== with --strict-invariant)\n");
@@ -131,17 +118,10 @@ Options parseArgs(int Argc, char **Argv) {
       O.Domain = Argv[++I];
     } else if (A == "--verify") {
       O.Verify = true;
-    } else if (A == "--edit-replay") {
-      O.EditReplay = true;
     } else if (A == "--scrape") {
       O.Scrape = true;
     } else if (A == "--strict-invariant") {
       O.StrictInvariant = true;
-    } else if (A == "--max-goal-ratio" && I + 1 < Argc) {
-      char *End = nullptr;
-      O.MaxGoalRatio = std::strtod(Argv[++I], &End);
-      if (!End || *End || O.MaxGoalRatio <= 0)
-        usage("--max-goal-ratio: need a positive number");
     } else if (A == "--out" && I + 1 < Argc) {
       O.OutFile = Argv[++I];
     } else if (A == "--help" || A == "-h") {
@@ -324,14 +304,10 @@ void runClient(const Options &O, const std::vector<Program> &Corpus,
   }
   for (uint64_t I = 0; I < Requests; ++I) {
     const Program &P = Corpus[(Id * 31 + I) % Corpus.size()];
-    // Pinned cold: the report's per-program counters feed bench_diff, so
-    // they must not depend on how warm the daemon's memo store happens to
-    // be. --edit-replay is the mode that measures incremental reuse.
     std::string Req = "{\"op\":\"analyze\",\"id\":" + std::to_string(I) +
                       ",\"program\":" + quoted(P.Source) +
                       ",\"analyzer\":" + quoted(O.Analyzer) +
-                      ",\"domain\":" + quoted(O.Domain) +
-                      ",\"incremental\":false}";
+                      ",\"domain\":" + quoted(O.Domain) + "}";
     auto Start = std::chrono::steady_clock::now();
     std::string Line = C.roundTrip(Req);
     double Us = std::chrono::duration<double, std::micro>(
@@ -405,87 +381,6 @@ void runClient(const Options &O, const std::vector<Program> &Corpus,
   }
 }
 
-// ===-- Edit-replay mode (--edit-replay) --=============================//
-
-/// Returns \p Src with the first standalone numeral of its *last*
-/// top-level form bumped by \p Bump. The last top-level form is the
-/// program's main expression; the define-d lambdas above it stay
-/// untouched, so the closure universe — which gates memo-table import on
-/// the daemon side — is stable across the whole edit script, and the
-/// strictly increasing values guarantee every iteration is a genuinely
-/// new program (no result-cache or memo-identity shortcuts).
-std::string mutateLeaf(const std::string &Src, uint64_t Bump) {
-  size_t FormStart = std::string::npos;
-  int Depth = 0;
-  bool Comment = false;
-  for (size_t I = 0; I < Src.size(); ++I) {
-    char C = Src[I];
-    if (Comment) {
-      Comment = C != '\n';
-      continue;
-    }
-    if (C == ';')
-      Comment = true;
-    else if (C == '(') {
-      if (Depth == 0)
-        FormStart = I;
-      ++Depth;
-    } else if (C == ')')
-      --Depth;
-  }
-  if (FormStart == std::string::npos)
-    return Src;
-  for (size_t I = FormStart + 1; I < Src.size(); ++I) {
-    if (!std::isdigit(static_cast<unsigned char>(Src[I])))
-      continue;
-    char Prev = Src[I - 1];
-    // Digits glued to an identifier (if0, add1) are not numerals.
-    if (std::isalnum(static_cast<unsigned char>(Prev)) || Prev == '_')
-      continue;
-    size_t End = I;
-    uint64_t V = 0;
-    while (End < Src.size() &&
-           std::isdigit(static_cast<unsigned char>(Src[End])))
-      V = V * 10 + static_cast<uint64_t>(Src[End++] - '0');
-    return Src.substr(0, I) + std::to_string(V + Bump) + Src.substr(End);
-  }
-  return Src;
-}
-
-/// The response fields the edit-replay comparisons need. ValidJson
-/// without Ok is a structured error response (e.g. an injected worker
-/// fault in the CI soak): the pair is skipped, not a failure — only a
-/// dead connection or non-JSON is.
-struct LegView {
-  bool ValidJson = false;
-  bool Ok = false;
-  std::string Answer;
-  std::string DegradeReason;
-  double Goals = 0;
-  double ReplayHits = 0;
-};
-
-LegView viewResponse(const std::string &Line) {
-  LegView V;
-  Result<JsonValue> Doc = parseJson(Line);
-  if (!Doc || !Doc->isObject())
-    return V;
-  V.ValidJson = true;
-  const JsonValue *Ok = Doc->find("ok");
-  const JsonValue *R = Doc->find("result");
-  const JsonValue *Stats = R ? R->find("stats") : nullptr;
-  if (!Ok || !Ok->asBool() || !Stats)
-    return V;
-  V.Ok = true;
-  V.Answer = R->find("answer") ? R->find("answer")->asString() : "";
-  V.DegradeReason = Stats->find("degradeReason")
-                        ? Stats->find("degradeReason")->asString()
-                        : "";
-  V.Goals = Stats->numberOr("goals", 0);
-  V.ReplayHits = Stats->numberOr("replayHits", 0);
-  return V;
-}
-
 /// Ceiling nearest-rank percentile — the ceil(P*N)-th smallest sample —
 /// matching the batch reporter's convention. The report schema's latency
 /// percentiles are nearest-rank, never interpolated: the old
@@ -500,203 +395,6 @@ double percentile(std::vector<double> &V, double P) {
   size_t I = std::min(Rank, V.size()) - 1;
   std::nth_element(V.begin(), V.begin() + static_cast<long>(I), V.end());
   return V[I];
-}
-
-/// --edit-replay: one client, one program (the first of the sorted
-/// corpus), K iterations. Each iteration i edits one leaf (the numeral
-/// becomes orig+i), then asks the daemon twice for the same edited
-/// source: once warm (incremental, default) and once cold
-/// ("incremental":false). The warm answer and degrade reason must be
-/// byte-identical to the cold ones — the whole point of the memo store is
-/// that it changes goal counts, never answers. Iteration 0 seeds the
-/// memo store and is excluded from the warm/cold goal totals; the
-/// reported goalRatio is what --max-goal-ratio gates.
-int runEditReplay(const Options &O, const std::vector<Program> &Corpus) {
-  const Program &P = Corpus.front();
-  uint64_t Iters = O.Iterations ? O.Iterations : 8;
-  if (Iters < 2) {
-    std::fprintf(stderr,
-                 "loadgen: --edit-replay needs --iterations >= 2 (iteration "
-                 "0 only seeds the memo store)\n");
-    return 2;
-  }
-  {
-    std::string Probe = mutateLeaf(P.Source, 1);
-    if (Probe == P.Source) {
-      std::fprintf(stderr,
-                   "loadgen: --edit-replay: no editable numeric leaf in "
-                   "%s\n",
-                   P.Name.c_str());
-      return 2;
-    }
-  }
-  Client C;
-  if (!C.connectTo(O.Socket)) {
-    std::fprintf(stderr, "loadgen: cannot connect to '%s'\n",
-                 O.Socket.c_str());
-    return 1;
-  }
-
-  auto Start = std::chrono::steady_clock::now();
-  uint64_t Transport = 0, Unsound = 0, DegradedPairs = 0, ErrorPairs = 0;
-  double WarmGoals = 0, ColdGoals = 0, ReplayHits = 0;
-  uint64_t Measured = 0;
-  std::vector<double> WarmLat, ColdLat;
-
-  serve::AnalyzeConfig RefCfg;
-  RefCfg.DeadlineMs = 0;
-
-  for (uint64_t I = 0; I < Iters; ++I) {
-    const std::string Src = mutateLeaf(P.Source, I);
-    // noCache on both legs: the byte-canonical result cache would
-    // otherwise answer the cold request without running the analyzer.
-    std::string Base = ",\"program\":" + quoted(Src) +
-                       ",\"analyzer\":" + quoted(O.Analyzer) +
-                       ",\"domain\":" + quoted(O.Domain) +
-                       ",\"noCache\":true";
-    auto Shoot = [&](const std::string &Req,
-                     std::vector<double> &Lat) -> LegView {
-      auto T0 = std::chrono::steady_clock::now();
-      std::string Line = C.roundTrip(Req);
-      double Us = std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-      if (Line.empty())
-        return LegView{};
-      if (I > 0)
-        Lat.push_back(Us);
-      return viewResponse(Line);
-    };
-    LegView Warm = Shoot("{\"op\":\"analyze\",\"id\":" +
-                             std::to_string(2 * I) + Base + "}",
-                         WarmLat);
-    LegView Cold = Shoot("{\"op\":\"analyze\",\"id\":" +
-                             std::to_string(2 * I + 1) + Base +
-                             ",\"incremental\":false}",
-                         ColdLat);
-    if (!Warm.ValidJson || !Cold.ValidJson) {
-      ++Transport;
-      std::fprintf(stderr,
-                   "loadgen: edit-replay iteration %llu: dead connection "
-                   "or non-JSON response\n",
-                   (unsigned long long)I);
-      break; // the connection state is unknown; stop
-    }
-    if (!Warm.Ok || !Cold.Ok) {
-      // A structured error on either leg (the CI soak injects worker
-      // faults): nothing to compare, nothing to measure, not a failure.
-      ++ErrorPairs;
-      continue;
-    }
-    if (Warm.Answer != Cold.Answer ||
-        Warm.DegradeReason != Cold.DegradeReason) {
-      ++Unsound;
-      std::fprintf(stderr,
-                   "loadgen: UNSOUND: edit %llu warm '%s'/%s vs cold "
-                   "'%s'/%s\n",
-                   (unsigned long long)I, Warm.Answer.c_str(),
-                   Warm.DegradeReason.c_str(), Cold.Answer.c_str(),
-                   Cold.DegradeReason.c_str());
-    }
-    if (O.Verify) {
-      serve::ServeRequest Req;
-      Req.Program = Src;
-      Req.Analyzer = O.Analyzer;
-      Req.Domain = O.Domain;
-      serve::AnalyzeOutcome Ref = serve::runServeAnalyze(Req, RefCfg, 0);
-      if (Ref.Ok && !Ref.Degraded && Ref.Answer != Warm.Answer) {
-        ++Unsound;
-        std::fprintf(stderr,
-                     "loadgen: UNSOUND: edit %llu warm '%s', reference "
-                     "'%s'\n",
-                     (unsigned long long)I, Warm.Answer.c_str(),
-                     Ref.Answer.c_str());
-      }
-    }
-    if (Cold.DegradeReason != "none") {
-      ++DegradedPairs; // both legs degraded identically; not a reuse sample
-      continue;
-    }
-    if (I > 0) {
-      ++Measured;
-      WarmGoals += Warm.Goals;
-      ColdGoals += Cold.Goals;
-      ReplayHits += Warm.ReplayHits;
-    }
-  }
-  double WallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-
-  double Ratio = ColdGoals > 0 ? WarmGoals / ColdGoals : 1.0;
-  double WarmP50 = percentile(WarmLat, 0.50);
-  double WarmP95 = percentile(WarmLat, 0.95);
-  double ColdP50 = percentile(ColdLat, 0.50);
-  double ColdP95 = percentile(ColdLat, 0.95);
-
-  std::ostringstream Out;
-  char NumBuf[64];
-  Out << "{\"schemaVersion\":1,\"kind\":\"loadgen\"";
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.3f", WallMs);
-  Out << ",\"wallMs\":" << NumBuf;
-  Out << ",\"programs\":[]";
-  Out << ",\"editReplay\":{";
-  Out << "\"program\":" << quoted(P.Name);
-  Out << ",\"iterations\":" << Iters;
-  Out << ",\"measured\":" << Measured;
-  Out << ",\"degradedPairs\":" << DegradedPairs;
-  Out << ",\"errorPairs\":" << ErrorPairs;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.0f", WarmGoals);
-  Out << ",\"warmGoals\":" << NumBuf;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.0f", ColdGoals);
-  Out << ",\"coldGoals\":" << NumBuf;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.4f", Ratio);
-  Out << ",\"goalRatio\":" << NumBuf;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.0f", ReplayHits);
-  Out << ",\"replayHits\":" << NumBuf;
-  Out << ",\"unsound\":" << Unsound;
-  Out << ",\"transportFailures\":" << Transport;
-  Out << ",\"warmLatencyUs\":{";
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.1f", WarmP50);
-  Out << "\"p50\":" << NumBuf;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.1f", WarmP95);
-  Out << ",\"p95\":" << NumBuf << "}";
-  Out << ",\"coldLatencyUs\":{";
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.1f", ColdP50);
-  Out << "\"p50\":" << NumBuf;
-  std::snprintf(NumBuf, sizeof(NumBuf), "%.1f", ColdP95);
-  Out << ",\"p95\":" << NumBuf << "}";
-  Out << "}}";
-
-  std::string Json = Out.str();
-  if (!O.OutFile.empty()) {
-    std::ofstream F(O.OutFile);
-    if (!F) {
-      std::fprintf(stderr, "loadgen: cannot write '%s'\n", O.OutFile.c_str());
-      return 1;
-    }
-    F << Json << '\n';
-  } else {
-    std::printf("%s\n", Json.c_str());
-  }
-  std::fprintf(stderr,
-               "loadgen: edit-replay %s: %llu/%llu edits measured, warm "
-               "%.0f vs cold %.0f goals (ratio %.3f), %.0f replay hits, "
-               "%llu unsound, %llu transport failures\n",
-               P.Name.c_str(), (unsigned long long)Measured,
-               (unsigned long long)(Iters - 1), WarmGoals, ColdGoals, Ratio,
-               ReplayHits, (unsigned long long)Unsound,
-               (unsigned long long)Transport);
-  if (Transport || Unsound)
-    return 1;
-  if (O.MaxGoalRatio > 0 && Measured && Ratio > O.MaxGoalRatio) {
-    std::fprintf(stderr,
-                 "loadgen: FAIL: warm/cold goal ratio %.3f exceeds "
-                 "--max-goal-ratio %.3f\n",
-                 Ratio, O.MaxGoalRatio);
-    return 1;
-  }
-  return 0;
 }
 
 // ===-- Scrape mode (--scrape) --========================================//
@@ -825,8 +523,6 @@ int main(int Argc, char **Argv) {
   std::vector<Program> Corpus = loadCorpus(O.Dir);
   if (Corpus.empty())
     usage(("no *.scm programs under '" + O.Dir + "'").c_str());
-  if (O.EditReplay)
-    return runEditReplay(O, Corpus);
   uint64_t Requests = O.Iterations ? O.Iterations : Corpus.size();
 
   auto Start = std::chrono::steady_clock::now();
