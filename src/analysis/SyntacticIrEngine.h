@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fast engine behind SyntacticCpsAnalyzer: the same Figure 6
-/// abstract collecting interpreter, evaluated over the flat label-arena
-/// IR (cps/CpsIr.h) with word-packed lattice values (domain/PackedSet.h)
+/// The engine behind SyntacticCpsAnalyzer: the Figure 6 abstract
+/// collecting interpreter, evaluated over the flat label-arena IR
+/// (cps/CpsIr.h) with word-packed lattice values (domain/PackedSet.h)
 /// and, optionally, continuation summarization.
 ///
-/// The engine is a structural 1:1 port of the pointer-tree evaluator.
-/// Because packing is an order-preserving lattice isomorphism (universe
-/// bit index == SortedSet rank) and the packed interner performs exactly
-/// the same sequence of join/intern events, the engine's answers, CFG,
-/// provenance edges, and work counters are byte-identical to the tree
-/// engine's — tests/InternEquivalenceTests.cpp and fuzz oracle O4 pin
-/// this.
+/// With summaries off the engine performs the Figure 6 derivation goal
+/// for goal. Because packing is an order-preserving lattice isomorphism
+/// (universe bit index == SortedSet rank) and the packed interner sees
+/// the join/intern events a pointer-tree walker over `CpsAbsVal` would,
+/// its answers, CFG, and work counters equal the seed reference
+/// analyzer's (tests/reference/RefSyntacticCpsAnalyzer.h) — pinned by
+/// tests/InternEquivalenceTests.cpp, tests/SummaryEquivalenceTests.cpp
+/// and fuzz oracle O4, on both packed set types.
 ///
 /// With AnalyzerOptions::UseSummaries on, each completed walk of a goal
 /// additionally records a *summary*: its entry store, result, the store
@@ -95,34 +96,26 @@ template <typename D> struct SyntacticResult {
 
 namespace detail {
 
-/// An initial binding with the variable resolved to its dense slot and
-/// the value packed — produced by the facade's eligibility check.
-template <typename D> struct PackedCpsBinding {
-  uint32_t Slot = 0;
-  domain::PackedCpsVal<D> Value;
-};
-
-/// The arena-IR engine. Single-use; constructed by SyntacticCpsAnalyzer
-/// only when the program's universes fit the 128-bit packed sets and the
-/// IR lowering succeeded.
-template <typename D> class SynIrEngine {
+/// The arena-IR engine over packed set type \p Set (domain/PackedSet.h).
+/// Single-use; SyntacticCpsAnalyzer constructs it with the set type its
+/// universe sizes call for.
+template <typename D, typename Set> class SynIrEngine {
 public:
   using Val = domain::CpsAbsVal<D>;
   using StoreT = domain::AbsStore<Val>;
   using Answer = AnswerOf<Val>;
-  using PVal = domain::PackedCpsVal<D>;
+  using PVal = domain::PackedCpsVal<D, Set>;
   using PStore = domain::AbsStore<PVal>;
 
   SynIrEngine(cps::CpsIr IrIn, std::shared_ptr<domain::VarIndex> VarsIn,
-              std::vector<PackedCpsBinding<D>> InitialIn, uint32_t TopKSlot,
+              const std::vector<CpsBinding<D>> &InitialIn, uint32_t TopKSlot,
               AnalyzerOptions Opts)
-      : Ir(std::move(IrIn)), Vars(std::move(VarsIn)),
-        Initial(std::move(InitialIn)), TopKSlot(TopKSlot), Opts(Opts) {
+      : Ir(std::move(IrIn)), Vars(std::move(VarsIn)), TopKSlot(TopKSlot),
+        Opts(Opts) {
     SummariesOn = this->Opts.UseSummaries && !this->Opts.Prov;
-    PCloTop = domain::Bits128::firstN(
-        static_cast<uint32_t>(2 + Ir.Lams.size()));
-    PKontTop = domain::Bits128::firstN(
-        static_cast<uint32_t>(1 + Ir.Conts.size()));
+    PCloTop = Set::firstN(static_cast<uint32_t>(2 + Ir.Lams.size()));
+    PKontTop = Set::firstN(static_cast<uint32_t>(1 + Ir.Conts.size()));
+    packInitial(InitialIn);
     VarWords = (Vars->size() + 63) / 64;
     TermWords = (Ir.Terms.size() + 63) / 64;
     QEOff = VarWords;
@@ -141,15 +134,15 @@ public:
 
   SyntacticResult<D> run() {
     domain::StoreId Sigma0 = Interner.bottom();
-    for (const PackedCpsBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, B.Slot, B.Value);
+    for (const auto &[Slot, Value] : Initial) {
+      domain::StoreId Next = Interner.joinAt(Sigma0, Slot, Value);
       if (Opts.Prov)
-        Opts.Prov->init(B.Slot, Next, Sigma0);
+        Opts.Prov->init(Slot, Next, Sigma0);
       Sigma0 = Next;
     }
     {
-      domain::StoreId Next = Interner.joinAt(
-          Sigma0, TopKSlot, PVal::konts(domain::Bits128::single(0)));
+      domain::StoreId Next =
+          Interner.joinAt(Sigma0, TopKSlot, PVal::konts(Set::single(0)));
       if (Opts.Prov)
         Opts.Prov->init(TopKSlot, Next, Sigma0);
       Sigma0 = Next;
@@ -555,7 +548,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // The interpreter proper (1:1 port of the tree engine)
+  // The interpreter proper
   //===--------------------------------------------------------------------===//
 
   IAns bottomAnswer() { return IAns{PVal::bot(), Interner.bottom()}; }
@@ -585,11 +578,11 @@ private:
     case cps::CpsIr::ValKind::Var:
       return getSlot(Sigma, V.A);
     case cps::CpsIr::ValKind::Inck:
-      return PVal::closures(domain::Bits128::single(0));
+      return PVal::closures(Set::single(0));
     case cps::CpsIr::ValKind::Deck:
-      return PVal::closures(domain::Bits128::single(1));
+      return PVal::closures(Set::single(1));
     case cps::CpsIr::ValKind::Lam:
-      return PVal::closures(domain::Bits128::single(2 + V.A));
+      return PVal::closures(Set::single(2 + V.A));
     }
     assert(false && "unknown ir value kind");
     return PVal::bot();
@@ -622,7 +615,7 @@ private:
 
   /// appr_e^s over a continuation *set*: apply every continuation and
   /// merge — the false-return join of Section 6.1.
-  EvalOut applyKontSet(domain::Bits128 Ks, const PVal &U,
+  EvalOut applyKontSet(Set Ks, const PVal &U,
                        domain::StoreId Sigma, uint32_t Depth,
                        const cps::CpsIr::TermNode &Site,
                        domain::ProvId UProv = domain::NoProv) {
@@ -724,7 +717,7 @@ private:
 
       TermAcc &A = Acc[P];
       A.Visited = true;
-      A.Set = domain::Bits128::join(A.Set, KVal.Konts);
+      A.Members = Set::join(A.Members, KVal.Konts);
 
       return applyKontSet(KVal.Konts, U, Sigma, Depth, T,
                           Opts.Prov ? provOfValue(T.B, Sigma)
@@ -750,7 +743,7 @@ private:
 
       TermAcc &CA = Acc[P];
       CA.Visited = true;
-      CA.Set = domain::Bits128::join(CA.Set, Fun.Clos);
+      CA.Members = Set::join(CA.Members, Fun.Clos);
 
       if (Fun.Clos.empty()) {
         ++Stats.DeadPaths; // join over no paths
@@ -781,7 +774,7 @@ private:
             Opts.Prov->assign(domain::EdgeKind::Flow, L.ParamSlot, S, Sigma,
                               T.SrcId, T.Loc, ArgProv);
           domain::StoreId S2 = Interner.joinAt(
-              S, L.KParamSlot, PVal::konts(domain::Bits128::single(Kont)));
+              S, L.KParamSlot, PVal::konts(Set::single(Kont)));
           // The continuation-set collection at k — the raw material of a
           // later false return (the loss itself is tagged at the Ret).
           if (Opts.Prov)
@@ -817,8 +810,8 @@ private:
       if (ThenOnly || ElseOnly)
         ++Stats.PrunedBranches;
 
-      domain::StoreId S = Interner.joinAt(
-          Sigma, T.A, PVal::konts(domain::Bits128::single(T.J)));
+      domain::StoreId S =
+          Interner.joinAt(Sigma, T.A, PVal::konts(Set::single(T.J)));
       if (Opts.Prov)
         Opts.Prov->assign(domain::EdgeKind::Flow, T.A, S, Sigma, T.SrcId,
                           T.Loc);
@@ -884,6 +877,30 @@ private:
   // Boundary conversion (packed <-> public representation)
   //===--------------------------------------------------------------------===//
 
+  /// Packs the initial bindings: a closure or continuation maps to its
+  /// index in the IR's universe numbering.
+  void packInitial(const std::vector<CpsBinding<D>> &Bindings) {
+    std::unordered_map<const cps::CpsLam *, uint32_t> LamIdx;
+    for (uint32_t I = 0; I < Ir.Lams.size(); ++I)
+      LamIdx.emplace(Ir.Lams[I].Src, 2 + I);
+    std::unordered_map<const cps::ContLam *, uint32_t> ContIdx;
+    for (uint32_t I = 0; I < Ir.Conts.size(); ++I)
+      ContIdx.emplace(Ir.Conts[I].Src, 1 + I);
+    auto Add = [](Set &S, uint32_t I) { S = Set::join(S, Set::single(I)); };
+    for (const CpsBinding<D> &B : Bindings) {
+      PVal P;
+      P.Num = B.Value.Num;
+      for (const domain::CpsCloRef &C : B.Value.Clos)
+        Add(P.Clos, C.Tag == domain::CpsCloRef::K::Inck   ? 0
+                    : C.Tag == domain::CpsCloRef::K::Deck ? 1
+                                                          : LamIdx.at(C.Lam));
+      for (const domain::KontRef &K : B.Value.Konts)
+        Add(P.Konts,
+            K.Tag == domain::KontRef::K::Stop ? 0 : ContIdx.at(K.Cont));
+      Initial.emplace_back(Vars->of(B.Var), std::move(P));
+    }
+  }
+
   domain::CpsCloRef cloRefOf(uint32_t R) const {
     if (R == 0)
       return domain::CpsCloRef::inck();
@@ -924,7 +941,7 @@ private:
     bool Visited = false;
     bool ThenFeasible = false;
     bool ElseFeasible = false;
-    domain::Bits128 Set; ///< konts at a Ret, closures at a Call
+    Set Members; ///< konts at a Ret, closures at a Call
   };
 
   CpsCfg buildCfg() const {
@@ -937,12 +954,12 @@ private:
       switch (T.Kind) {
       case cps::CpsTermKind::PK_Ret: {
         domain::KontSet &S = C.Returns[cps::cast<cps::CpsRet>(T.Src)];
-        A.Set.forEach([&](uint32_t R) { S.insert(kontRefOf(R)); });
+        A.Members.forEach([&](uint32_t R) { S.insert(kontRefOf(R)); });
         break;
       }
       case cps::CpsTermKind::PK_Call: {
         domain::CpsCloSet &S = C.Callees[cps::cast<cps::CpsCall>(T.Src)];
-        A.Set.forEach([&](uint32_t R) { S.insert(cloRefOf(R)); });
+        A.Members.forEach([&](uint32_t R) { S.insert(cloRefOf(R)); });
         break;
       }
       case cps::CpsTermKind::PK_If: {
@@ -960,13 +977,14 @@ private:
 
   cps::CpsIr Ir;
   std::shared_ptr<domain::VarIndex> Vars;
-  std::vector<PackedCpsBinding<D>> Initial;
+  /// The initial bindings as (slot, packed value), in binding order.
+  std::vector<std::pair<uint32_t, PVal>> Initial;
   uint32_t TopKSlot;
   AnalyzerOptions Opts;
   bool SummariesOn = false;
 
-  domain::Bits128 PCloTop;
-  domain::Bits128 PKontTop;
+  Set PCloTop;
+  Set PKontTop;
   uint32_t VarWords = 0;
   uint32_t TermWords = 0;
   /// Word offsets of the QEntry/QFluid/QAbove sections in a fingerprint

@@ -17,9 +17,9 @@
 ///    dense VarIndex id) pre-resolved, eliminating per-access Symbol
 ///    hash lookups;
 ///  * user lambdas and continuation lambdas live in id-sorted `Lams` /
-///    `Conts` arrays whose positions coincide with the analyzer's
-///    closure/continuation universe enumeration (Universe.cpp sorts the
-///    same refs the same way), so a packed-set bit index dereferences
+///    `Conts` arrays whose positions *are* the analyzer's closure and
+///    continuation universe enumeration (SyntacticCpsAnalyzer builds its
+///    universes from them), so a packed-set bit index dereferences
 ///    straight to the callee's parameter slots and body label.
 ///
 /// Each record keeps the original node pointer (plus its id and source
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 namespace cpsflow {
@@ -102,14 +101,11 @@ struct CpsIr {
 
 /// Lowers \p Program (plus the extra lambdas seeded from initial
 /// bindings, mirroring the analyzer's universe construction) into a flat
-/// arena. \p SlotOf maps a variable to its dense store slot, or a
-/// negative value when the variable is unknown; an unknown variable
-/// aborts the lowering. \returns std::nullopt on failure — callers fall
-/// back to the pointer-tree evaluator.
-std::optional<CpsIr>
-buildCpsIr(const CpsProgram &Program,
-           const std::vector<const CpsLam *> &ExtraLams,
-           const std::function<int64_t(Symbol)> &SlotOf);
+/// arena. \p SlotOf maps a variable to its dense store slot; every
+/// variable of the program and the extra lambdas must have one.
+CpsIr buildCpsIr(const CpsProgram &Program,
+                 const std::vector<const CpsLam *> &ExtraLams,
+                 const std::function<uint32_t(Symbol)> &SlotOf);
 
 } // namespace cps
 } // namespace cpsflow

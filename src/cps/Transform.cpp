@@ -10,6 +10,7 @@
 #include "cps/CpsIr.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -411,23 +412,13 @@ namespace {
 /// buildCpsIr's driver loop — so every term gets exactly one label.
 struct IrBuilder {
   CpsIr Ir;
-  const std::function<int64_t(Symbol)> &SlotOf;
+  const std::function<uint32_t(Symbol)> &SlotOf;
   std::unordered_map<const CpsLam *, uint32_t> LamIdx;
   std::unordered_map<const ContLam *, uint32_t> ContIdx;
   std::unordered_map<const CpsValue *, uint32_t> ValIdx;
-  bool Failed = false;
 
-  explicit IrBuilder(const std::function<int64_t(Symbol)> &SlotOf)
+  explicit IrBuilder(const std::function<uint32_t(Symbol)> &SlotOf)
       : SlotOf(SlotOf) {}
-
-  uint32_t slot(Symbol S) {
-    int64_t I = SlotOf(S);
-    if (I < 0) {
-      Failed = true;
-      return 0;
-    }
-    return static_cast<uint32_t>(I);
-  }
 
   uint32_t lowerVal(const CpsValue *W) {
     if (auto It = ValIdx.find(W); It != ValIdx.end())
@@ -441,7 +432,7 @@ struct IrBuilder {
       break;
     case CpsValueKind::WK_Var:
       N.Kind = CpsIr::ValKind::Var;
-      N.A = slot(cast<CpsVar>(W)->name());
+      N.A = SlotOf(cast<CpsVar>(W)->name());
       break;
     case CpsValueKind::WK_Prim:
       N.Kind = cast<CpsPrim>(W)->op() == CpsPrimOp::Add1k
@@ -449,13 +440,11 @@ struct IrBuilder {
                    : CpsIr::ValKind::Deck;
       break;
     case CpsValueKind::WK_Lam: {
+      // Every lambda under a lowered body was enumerated up front.
       auto It = LamIdx.find(cast<CpsLam>(W));
-      if (It == LamIdx.end())
-        Failed = true;
-      else {
-        N.Kind = CpsIr::ValKind::Lam;
-        N.A = It->second;
-      }
+      assert(It != LamIdx.end() && "lambda missing from the enumeration");
+      N.Kind = CpsIr::ValKind::Lam;
+      N.A = It->second;
       break;
     }
     }
@@ -469,10 +458,7 @@ struct IrBuilder {
   /// start at 1.
   uint32_t contIndex(const ContLam *C) {
     auto It = ContIdx.find(C);
-    if (It == ContIdx.end()) {
-      Failed = true;
-      return 0;
-    }
+    assert(It != ContIdx.end() && "continuation missing from the enumeration");
     return It->second + 1;
   }
 
@@ -487,13 +473,13 @@ struct IrBuilder {
     switch (P->kind()) {
     case CpsTermKind::PK_Ret: {
       const auto *Ret = cast<CpsRet>(P);
-      N.A = slot(Ret->kvar());
+      N.A = SlotOf(Ret->kvar());
       N.B = lowerVal(Ret->arg());
       break;
     }
     case CpsTermKind::PK_LetVal: {
       const auto *Let = cast<CpsLetVal>(P);
-      N.A = slot(Let->var());
+      N.A = SlotOf(Let->var());
       N.B = lowerVal(Let->bound());
       N.C = lowerTerm(Let->body());
       break;
@@ -507,7 +493,7 @@ struct IrBuilder {
     }
     case CpsTermKind::PK_If: {
       const auto *If = cast<CpsIf>(P);
-      N.A = slot(If->kvar());
+      N.A = SlotOf(If->kvar());
       N.B = lowerVal(If->cond());
       N.C = lowerTerm(If->thenBranch());
       N.E = lowerTerm(If->elseBranch());
@@ -525,14 +511,13 @@ struct IrBuilder {
 
 } // namespace
 
-std::optional<CpsIr>
-cpsflow::cps::buildCpsIr(const CpsProgram &Program,
-                         const std::vector<const CpsLam *> &ExtraLams,
-                         const std::function<int64_t(Symbol)> &SlotOf) {
-  // Enumerate user and continuation lambdas exactly as Universe.cpp does
+CpsIr cpsflow::cps::buildCpsIr(const CpsProgram &Program,
+                               const std::vector<const CpsLam *> &ExtraLams,
+                               const std::function<uint32_t(Symbol)> &SlotOf) {
+  // Enumerate user and continuation lambdas as Universe.cpp does
   // (program + extras + lambdas nested in extra bodies, id-sorted and
-  // deduplicated), so array positions coincide with the closure/kont
-  // universe indices the analyzer derives from the same refs.
+  // deduplicated): the analyzer takes its closure/kont universes from
+  // these arrays, so array positions are universe indices.
   std::vector<const CpsLam *> Lams = collectCpsLams(Program.Root);
   std::vector<const ContLam *> Conts = collectContLams(Program.Root);
   for (const CpsLam *L : ExtraLams) {
@@ -554,14 +539,14 @@ cpsflow::cps::buildCpsIr(const CpsProgram &Program,
   for (uint32_t I = 0; I < Lams.size(); ++I) {
     B.LamIdx.emplace(Lams[I], I);
     CpsIr::LamNode &N = B.Ir.Lams[I];
-    N.ParamSlot = B.slot(Lams[I]->param());
-    N.KParamSlot = B.slot(Lams[I]->kparam());
+    N.ParamSlot = SlotOf(Lams[I]->param());
+    N.KParamSlot = SlotOf(Lams[I]->kparam());
     N.Src = Lams[I];
   }
   for (uint32_t I = 0; I < Conts.size(); ++I) {
     B.ContIdx.emplace(Conts[I], I);
     CpsIr::ContNode &N = B.Ir.Conts[I];
-    N.ParamSlot = B.slot(Conts[I]->param());
+    N.ParamSlot = SlotOf(Conts[I]->param());
     N.SrcId = Conts[I]->id();
     N.Loc = Conts[I]->loc();
     N.Src = Conts[I];
@@ -571,7 +556,5 @@ cpsflow::cps::buildCpsIr(const CpsProgram &Program,
   for (uint32_t I = 0; I < Lams.size(); ++I)
     B.Ir.Lams[I].Body = B.lowerTerm(Lams[I]->body());
   B.Ir.Root = B.lowerTerm(Program.Root);
-  if (B.Failed)
-    return std::nullopt;
   return std::move(B.Ir);
 }

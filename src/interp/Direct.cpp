@@ -6,6 +6,7 @@
 
 #include "interp/Direct.h"
 
+#include "support/StackHeadroom.h"
 #include "syntax/Printer.h"
 
 #include <sstream>
@@ -57,7 +58,9 @@ DirectInterp::Partial DirectInterp::evalTerm(const Term *T,
                                              uint32_t Depth) {
   if (!spendFuel())
     return fail(RunStatus::OutOfFuel, "step budget exceeded");
-  if (Depth > Limits.MaxDepth)
+  // The frame count is the limit; the headroom check keeps it ahead of
+  // a stack overflow in builds with larger frames.
+  if (Depth > Limits.MaxDepth || support::stackNearlyExhausted())
     return fail(RunStatus::OutOfFuel, "recursion depth exceeded");
 
   if (TraceCtx && Trace.size() < MaxTrace) {

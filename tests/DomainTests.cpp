@@ -14,10 +14,14 @@
 #include "domain/AbsStore.h"
 #include "domain/AbsValue.h"
 #include "domain/NumDomain.h"
+#include "domain/PackedSet.h"
+#include "support/Rng.h"
 #include "syntax/Builder.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 using namespace cpsflow;
@@ -281,6 +285,63 @@ TEST(VarIndex, DeduplicatesAndLooksUp) {
   EXPECT_TRUE(Idx.contains(X));
   EXPECT_EQ(Idx.symbolAt(Idx.of(Y)), Y);
   EXPECT_FALSE(Idx.contains(Table.intern("z")));
+}
+
+/// WideBits against a std::set model over a universe that spans several
+/// words, and against Bits128 where both fit.
+TEST(PackedSet, WideBitsMatchesSetModel) {
+  Rng R(7);
+  auto Draw = [&](uint32_t Universe) {
+    std::set<uint32_t> M;
+    WideBits W;
+    for (uint64_t N = R.below(6); N > 0; --N) {
+      uint32_t I = static_cast<uint32_t>(R.below(Universe));
+      M.insert(I);
+      W = WideBits::join(W, WideBits::single(I));
+    }
+    return std::make_pair(M, W);
+  };
+  auto Members = [](const auto &S) {
+    std::vector<uint32_t> Out;
+    S.forEach([&](uint32_t I) { Out.push_back(I); });
+    return Out;
+  };
+  for (int Round = 0; Round < 500; ++Round) {
+    uint32_t Universe = Round % 2 ? 128 : 300;
+    auto [MA, A] = Draw(Universe);
+    auto [MB, B] = Draw(Universe);
+    std::set<uint32_t> MJ = MA;
+    MJ.insert(MB.begin(), MB.end());
+    WideBits J = WideBits::join(A, B);
+    EXPECT_EQ(Members(J), std::vector<uint32_t>(MJ.begin(), MJ.end()));
+    EXPECT_EQ(J.size(), MJ.size());
+    EXPECT_EQ(J.empty(), MJ.empty());
+    EXPECT_EQ(WideBits::leq(A, B),
+              std::includes(MB.begin(), MB.end(), MA.begin(), MA.end()));
+    EXPECT_EQ(A == B, MA == MB);
+    EXPECT_TRUE(WideBits::leq(A, J) && WideBits::leq(B, J));
+    if (MA == MB) {
+      EXPECT_EQ(A.hashValue(), B.hashValue());
+    }
+    if (Universe <= Bits128::Capacity) {
+      Bits128 NA, NB;
+      for (uint32_t I : MA)
+        NA.set(I);
+      for (uint32_t I : MB)
+        NB.set(I);
+      EXPECT_EQ(Members(Bits128::join(NA, NB)), Members(J));
+      EXPECT_EQ(Bits128::leq(NA, NB), WideBits::leq(A, B));
+    }
+  }
+  for (uint32_t N : {0u, 1u, 63u, 64u, 65u, 128u, 200u}) {
+    std::vector<uint32_t> Want(N);
+    for (uint32_t I = 0; I < N; ++I)
+      Want[I] = I;
+    EXPECT_EQ(Members(WideBits::firstN(N)), Want);
+    if (Bits128::holds(N)) {
+      EXPECT_EQ(Members(Bits128::firstN(N)), Want);
+    }
+  }
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "analysis/SyntacticCpsAnalyzer.h"
 #include "cps/Transform.h"
 #include "gen/Enumerate.h"
+#include "gen/Generator.h"
 #include "gen/Workloads.h"
 #include "reference/RefDirectAnalyzer.h"
 #include "reference/RefDupAnalyzer.h"
@@ -128,6 +129,41 @@ TEST(InternEquivalence, WorkloadFamilies) {
   checkWitness(Ctx, gen::loopProbe(Ctx, 3));
   checkWitness(Ctx, gen::omega(Ctx));
   checkWitness(Ctx, gen::counterLoop(Ctx, 5));
+}
+
+/// The syntactic leg switches from Bits128 to WideBits sets once a
+/// closure or continuation universe passes 128 elements. These programs
+/// sit past that line (the generated one has 165 continuations), so the
+/// reference comparison covers the wide set type too.
+TEST(InternEquivalence, WideUniverseWorkloads) {
+  Context Ctx;
+  auto expectWide = [&](const cps::CpsProgram &Cps,
+                        const std::vector<CpsBinding<CD>> &CInit) {
+    SyntacticCpsAnalyzer<CD> A(Ctx, Cps, CInit);
+    EXPECT_FALSE(domain::Bits128::holds(A.closureUniverse().size()) &&
+                 domain::Bits128::holds(A.kontUniverse().size()));
+  };
+  for (Witness W :
+       {gen::closureTower(Ctx, 130), gen::convergingChain(Ctx, 200)}) {
+    expectWide(W.Cps, cpsBindings<CD>(W));
+    checkWitness(Ctx, W);
+  }
+
+  gen::GenOptions Opts;
+  Opts.Seed = 72;
+  Opts.ChainLength = 10;
+  Opts.WellTyped = true;
+  const syntax::Term *T = gen::ProgramGenerator(Ctx, Opts).generate();
+  Result<cps::CpsProgram> P = cps::cpsTransform(Ctx, T);
+  ASSERT_TRUE(P.hasValue());
+  std::vector<DirectBinding<CD>> Init;
+  for (Symbol S : syntax::freeVars(T))
+    Init.push_back({S, domain::AbsVal<CD>::number(CD::top())});
+  std::vector<CpsBinding<CD>> CInit;
+  for (const DirectBinding<CD> &B : Init)
+    CInit.push_back({B.Var, deltaE<CD>(B.Value, *P)});
+  expectWide(*P, CInit);
+  checkProgram(Ctx, T, *P, Init, CInit, 2, "generated seed 72 chain 10");
 }
 
 /// Budget sweep on a duplication workload: the dup analyzer's credit

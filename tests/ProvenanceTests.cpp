@@ -22,6 +22,7 @@
 #include "anf/Anf.h"
 #include "cps/Transform.h"
 #include "domain/Provenance.h"
+#include "gen/Workloads.h"
 #include "syntax/Analysis.h"
 #include "syntax/Sugar.h"
 
@@ -162,6 +163,22 @@ TEST(Provenance, RecorderNeverPerturbsAnalyzersOnWitnesses) {
       return analysis::DupAnalyzer<CD>(Ctx, W.Anf, Init, 2, O).run();
     });
   }
+}
+
+/// A continuation universe past 128 elements puts the syntactic leg on
+/// the WideBits set type; recording must not perturb that run either.
+TEST(Provenance, RecorderNeverPerturbsWideUniverseRun) {
+  Context Ctx;
+  analysis::Witness W = gen::convergingChain(Ctx, 200);
+  auto CInit = analysis::cpsBindings<CD>(W);
+  ASSERT_GT(analysis::SyntacticCpsAnalyzer<CD>(Ctx, W.Cps, CInit)
+                .kontUniverse()
+                .size(),
+            size_t(domain::Bits128::Capacity));
+  analysis::AnalyzerOptions AOpts;
+  expectGated("syntactic", AOpts, [&](const analysis::AnalyzerOptions &O) {
+    return analysis::SyntacticCpsAnalyzer<CD>(Ctx, W.Cps, CInit, O).run();
+  });
 }
 
 TEST(Provenance, AssignRecordsFirstWinFactsAndOrigins) {

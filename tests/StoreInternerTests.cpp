@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace cpsflow;
 using namespace cpsflow::domain;
 using CD = ConstantDomain;
@@ -208,20 +210,24 @@ AbsVal<CD> randomValue(Rng &R, AbsVal<CD> *) {
   }
 }
 
-PackedCpsVal<CD> randomValue(Rng &R, PackedCpsVal<CD> *) {
-  PackedCpsVal<CD> V;
+template <typename Set>
+PackedCpsVal<CD, Set> randomValue(Rng &R, PackedCpsVal<CD, Set> *) {
+  // WideBits draws past the Bits128 range so multi-word blocks mix.
+  uint64_t CloRange = std::is_same_v<Set, WideBits> ? 300 : 128;
+  PackedCpsVal<CD, Set> V;
   if (R.chance(1, 2))
     V.Num = R.chance(1, 4) ? CD::top()
                            : CD::constant(static_cast<int64_t>(R.below(3)));
   if (R.chance(1, 3))
-    V.Clos = Bits128::single(static_cast<uint32_t>(R.below(128)));
+    V.Clos = Set::single(static_cast<uint32_t>(R.below(CloRange)));
   if (R.chance(1, 3))
-    V.Konts = Bits128::single(static_cast<uint32_t>(R.below(4)));
+    V.Konts = Set::single(static_cast<uint32_t>(R.below(4)));
   return V;
 }
 
 template <typename V> class StoreInternerDifferential : public testing::Test {};
-using DiffValueTypes = testing::Types<AbsVal<CD>, PackedCpsVal<CD>>;
+using DiffValueTypes = testing::Types<AbsVal<CD>, PackedCpsVal<CD>,
+                                      PackedCpsVal<CD, WideBits>>;
 TYPED_TEST_SUITE(StoreInternerDifferential, DiffValueTypes);
 
 TYPED_TEST(StoreInternerDifferential, MatchesDenseReference) {

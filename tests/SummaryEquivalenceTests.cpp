@@ -11,8 +11,8 @@
 /// reference analyzer — on every committed corpus program, in all five
 /// numeric domains. The summaries-off leg additionally pins the full
 /// work-counter profile (goals, cache hits, cuts, ...), because the flat
-/// label-arena IR engine claims observational identity with the original
-/// tree walker, not just answer equality.
+/// label-arena IR engine claims observational identity with the seed
+/// reference analyzer, not just answer equality.
 ///
 /// A perf smoke test keeps the point of the whole exercise honest: with
 /// summaries on, arithmetic.scm — the corpus cliff program — must stay
@@ -25,12 +25,15 @@
 #include "analysis/SyntacticCpsAnalyzer.h"
 #include "anf/Anf.h"
 #include "cps/Transform.h"
+#include "gen/Generator.h"
+#include "gen/Workloads.h"
 #include "reference/RefSyntacticCpsAnalyzer.h"
 #include "syntax/Analysis.h"
 #include "syntax/Sugar.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -60,7 +63,7 @@ std::string slurp(const fs::path &P) {
   return Buf.str();
 }
 
-/// Both engines on one program/domain: the reference walker, the new
+/// One program/domain three ways: the reference walker, the
 /// analyzer with summaries off (answers and work counters must agree),
 /// and with summaries on (answers must agree; the counters then satisfy
 /// the accounting identity hits + misses + cacheHits + cuts = goals).
@@ -130,6 +133,38 @@ TEST(SummaryEquivalence, CorpusAllDomainsOnAndOff) {
   ASSERT_FALSE(Files.empty());
   for (const fs::path &P : Files)
     checkProgram(P);
+}
+
+/// Programs whose continuation or closure universe passes 128
+/// elements run on the WideBits set type; the same on/off/reference
+/// contract holds there. The generated program runs in the constant
+/// domain only: in the unit domain its summaries-off run walks ~470k
+/// goals, more than the dense-store reference can hold in memory.
+TEST(SummaryEquivalence, WideUniversesOnAndOff) {
+  Context Ctx;
+  gen::GenOptions Opts;
+  Opts.Seed = 72;
+  Opts.ChainLength = 10;
+  Opts.WellTyped = true;
+  const syntax::Term *Generated =
+      gen::ProgramGenerator(Ctx, Opts).generate();
+  for (const syntax::Term *T :
+       {gen::closureTower(Ctx, 130).Anf, gen::convergingChain(Ctx, 200).Anf,
+        Generated}) {
+    Result<cps::CpsProgram> P = cps::cpsTransform(Ctx, T);
+    ASSERT_TRUE(P.hasValue());
+    analysis::SyntacticCpsAnalyzer<domain::ConstantDomain> Probe(Ctx, *P);
+    EXPECT_GT(std::max(Probe.closureUniverse().size(),
+                       Probe.kontUniverse().size()),
+              size_t(domain::Bits128::Capacity));
+    checkDomain<domain::ConstantDomain>(Ctx, *P, T);
+    if (T == Generated)
+      continue;
+    checkDomain<domain::UnitDomain>(Ctx, *P, T);
+    checkDomain<domain::SignDomain>(Ctx, *P, T);
+    checkDomain<domain::ParityDomain>(Ctx, *P, T);
+    checkDomain<domain::IntervalDomain>(Ctx, *P, T);
+  }
 }
 
 /// The cliff program. Before summarization + the arena IR the syntactic
