@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Types shared by the three abstract collecting interpreters (Figures
-/// 4-6): abstract answers, analyzer options, and run statistics.
+/// Types shared by the five analyzers (the abstract collecting
+/// interpreters of Figures 4-6, the Section 6.3 bounded-duplication
+/// analyzer, and the pushdown analyzer): abstract answers, analyzer
+/// options, and run statistics.
 ///
 /// An abstract answer pairs an abstract value with an abstract store,
 /// ordered component-wise (Section 4.2). The statistics expose the
@@ -115,10 +117,12 @@ struct AnalyzerOptions {
   /// analyzer ignores this: its loop rule is exact and computable.
   bool LoopSoundSummary = true;
 
-  /// When non-null, the direct analyzer appends a rendering of its
-  /// derivation tree here (one line per goal, indented by depth, with the
-  /// goal's answer) — the abstract analogue of the Figure 4 derivations.
-  /// Capped at DerivationMaxLines. Intended for small programs.
+  /// When non-null, the direct and pushdown analyzers append a rendering
+  /// of their derivation tree here (one line per walked goal, indented by
+  /// depth, with the goal's answer) — the abstract analogue of the Figure
+  /// 4 derivations. The other analyzers ignore it. Capped at
+  /// DerivationMaxLines: goals past the cap are not recorded. Intended
+  /// for small programs.
   std::vector<std::string> *DerivationSink = nullptr;
   /// Cap for DerivationSink.
   size_t DerivationMaxLines = 2000;

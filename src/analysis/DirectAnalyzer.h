@@ -24,11 +24,12 @@
 ///  * The `loop` rule is exact and computable: the join of all naturals
 ///    is just the numeric domain's summary (Section 6.2).
 ///
-/// Termination follows Section 4.4: a goal whose (term, store) pair is
-/// already on the active derivation path is cut off with the least precise
-/// value (T, CL_T) paired with the current store. Completed subderivations
-/// are memoized; results that depended on a cut through an enclosing goal
-/// are provisional and are not cached (they are not context-independent).
+/// Termination follows Section 4.4 (analysis/GoalDriver.h): a goal whose
+/// (term, store) pair is already on the active derivation path is cut off
+/// with the least precise value (T, CL_T) paired with the current store.
+/// Completed subderivations are memoized; results that depended on a cut
+/// through an enclosing goal are provisional and are not cached (they are
+/// not context-independent).
 ///
 /// Stores are hash-consed in a per-run StoreInterner: evaluation, the
 /// memo table, and the active path all name stores by StoreId, so a goal
@@ -41,11 +42,10 @@
 #ifndef CPSFLOW_ANALYSIS_DIRECTANALYZER_H
 #define CPSFLOW_ANALYSIS_DIRECTANALYZER_H
 
+#include "analysis/AnfFrontEnd.h"
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
-#include "analysis/Universe.h"
-#include "anf/Anf.h"
-#include "domain/AbsStore.h"
+#include "analysis/GoalDriver.h"
 #include "domain/AbsValue.h"
 #include "domain/StoreInterner.h"
 #include "syntax/Analysis.h"
@@ -54,109 +54,48 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace cpsflow {
 namespace analysis {
 
-/// One entry of the initial abstract store (e.g. Theorem 5.1 binds f to
-/// the identity closure, z to T).
-template <typename D> struct DirectBinding {
-  Symbol Var;
-  domain::AbsVal<D> Value;
-};
-
-/// Result of a Figure 4 run.
-template <typename D> struct DirectResult {
-  using Val = domain::AbsVal<D>;
-
-  AnswerOf<Val> Answer;
-  AnalyzerStats Stats;
-  DirectCfg Cfg;
-  std::shared_ptr<domain::VarIndex> Vars;
-
-  /// The final abstract store entry of \p X (bottom if outside the
-  /// universe).
-  Val valueOf(Symbol X) const {
-    if (auto I = Vars->tryOf(X))
-      return Answer.Store.get(*I);
-    return Val::bot();
-  }
-};
-
 /// The Figure 4 analyzer, parameterized by the numeric domain \p D
 /// (domain/NumDomain.h). Single-use: construct and call run() once.
-template <typename D> class DirectAnalyzer {
+template <typename D> class DirectAnalyzer : public AnfFrontEnd<D> {
+  using Base = AnfFrontEnd<D>;
+
 public:
-  using Val = domain::AbsVal<D>;
-  using StoreT = domain::AbsStore<Val>;
-  using Answer = AnswerOf<Val>;
+  using typename Base::Val;
 
   /// \pre \p Program is in A-normal form with unique binders; the lambdas
   /// referenced by \p Initial use binders disjoint from \p Program's.
   DirectAnalyzer(const Context &Ctx, const syntax::Term *Program,
                  std::vector<DirectBinding<D>> Initial = {},
                  AnalyzerOptions Opts = AnalyzerOptions())
-      : Ctx(Ctx), Program(Program), Initial(std::move(Initial)), Opts(Opts) {
-    assert(anf::isAnfQuick(Program) && "Figure 4 requires A-normal form");
-
-    std::vector<const syntax::LamValue *> ExtraLams;
-    std::vector<Symbol> ExtraVars;
-    for (const DirectBinding<D> &B : this->Initial) {
-      ExtraVars.push_back(B.Var);
-      for (const domain::CloRef &C : B.Value.Clos)
-        if (C.Tag == domain::CloRef::K::Lam)
-          ExtraLams.push_back(C.Lam);
-    }
-    Vars = std::make_shared<domain::VarIndex>(
-        directVariableUniverse(Program, ExtraLams, ExtraVars));
-    CloTop = directClosureUniverse(Program, ExtraLams);
-    Interner.attachMetrics(this->Opts.Metrics);
-    Interner.reset(Vars->size());
-  }
+      : Base(Ctx, Program, std::move(Initial), std::move(Opts)) {}
 
   /// Runs the analysis from the initial store.
   DirectResult<D> run() {
-    domain::StoreId Sigma0 = Interner.bottom();
-    for (const DirectBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, Vars->of(B.Var), B.Value);
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(B.Var), Next, Sigma0);
-      Sigma0 = Next;
-    }
-
-    EvalOut Out = evalTerm(Program, Sigma0, 0);
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
-    if (Opts.Prov)
-      Opts.Prov->noteFinal(Out.A ? Out.A->Store : Interner.bottom());
-
-    DirectResult<D> R;
-    R.Answer = Out.A ? Answer{std::move(Out.A->Value),
-                              Interner.store(Out.A->Store)}
-                     : Answer{Val::bot(), StoreT(Vars->size())};
-    R.Stats = Stats;
-    R.Cfg = std::move(Cfg);
-    R.Vars = Vars;
-    return R;
+    EvalOut Out = evalTerm(Program, this->initialStore(), 0);
+    return this->result(std::move(Out.A), Goals.memo().size());
   }
 
-  /// The universe of abstract closures CL_T (program and initial-store
-  /// lambdas plus inc and dec), used for the Section 4.4 cut-off value.
-  const domain::CloSet &closureUniverse() const { return CloTop; }
-
-  /// The run's hash-consing table (observability: distinct stores seen).
-  const domain::StoreInterner<Val> &interner() const { return Interner; }
-
 private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
-
-  using IAns = InternedAnswerOf<Val>;
+  using typename Base::IAns;
+  using typename Base::Key;
+  using typename Base::KeyHash;
+  using Base::Ctx;
+  using Base::Interner;
+  using Base::Opts;
+  using Base::Program;
+  using Base::Stats;
+  using Base::Vars;
+  using Base::cutProv;
+  using Base::phi;
+  using Base::provOfValue;
 
   /// An answer plus the shallowest active ancestor the subderivation was
   /// cut against (Unconstrained if none — then the answer is
@@ -174,127 +113,47 @@ private:
     domain::ProvId Prov = domain::NoProv;
   };
 
-  struct Key {
-    const void *Node;
-    domain::StoreId Store;
+  /// The goal (T, sigma) at \p Depth, as GoalDriver hooks.
+  struct Goal {
+    DirectAnalyzer &Self;
+    const syntax::Term *T;
+    domain::StoreId Sigma;
+    uint32_t Depth;
 
-    friend bool operator==(const Key &A, const Key &B) {
-      return A.Node == B.Node && A.Store == B.Store;
+    Key key() const { return Key{T, Sigma}; }
+    size_t storeBytes() const { return Self.Interner.approxBytes(); }
+    /// The Section 4.4 cut-off: the least precise value with the current
+    /// store.
+    EvalOut cutOff(uint32_t MinDep, support::DegradeReason R) const {
+      return EvalOut{IAns{Self.cutValue(), Sigma}, MinDep,
+                     Self.Opts.Prov ? Self.cutProv(T, R) : domain::NoProv};
+    }
+    EvalOut exhausted(support::DegradeReason R) const { return cutOff(0, R); }
+    EvalOut cut(uint32_t AncestorDepth) const {
+      return cutOff(AncestorDepth, support::DegradeReason::None);
+    }
+    EvalOut hit(const std::optional<IAns> &M) const {
+      return EvalOut{M, Unconstrained,
+                     Self.Opts.Prov ? Self.Opts.Prov->memoized(T, Sigma)
+                                    : domain::NoProv};
+    }
+    EvalOut walk() const { return Self.evalUncached(T, Sigma, Depth); }
+    const std::optional<IAns> &memoValue(const EvalOut &O) const {
+      return O.A;
+    }
+    void afterWalk(const EvalOut &O, bool Memoized) const {
+      if (Memoized && Self.Opts.Prov)
+        Self.Opts.Prov->memoize(T, Sigma, O.Prov);
+    }
+    std::string derivationTerm() const { return syntax::print(Self.Ctx, T); }
+    std::string derivationAnswer(const EvalOut &O) const {
+      return O.A ? O.A->Value.str(Self.Ctx) : std::string("dead");
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      uint64_t H = hashPointer(K.Node);
-      hashCombine(H, K.Store);
-      return H;
-    }
-  };
-
-  /// The Section 4.4 cut-off: the least precise value with the current
-  /// store.
-  IAns cutAnswer(domain::StoreId Sigma) const {
-    Val V;
-    V.Num = D::top();
-    V.Clos = CloTop;
-    return IAns{std::move(V), Sigma};
-  }
-
-  // phi_e of Figure 4.
-  Val phi(const syntax::Value *V, domain::StoreId Sigma) const {
-    using namespace syntax;
-    switch (V->kind()) {
-    case ValueKind::VK_Num:
-      return Val::number(D::constant(cast<NumValue>(V)->value()));
-    case ValueKind::VK_Var:
-      return Interner.get(Sigma, Vars->of(cast<VarValue>(V)->name()));
-    case ValueKind::VK_Prim:
-      return Val::closures(domain::CloSet::single(
-          cast<PrimValue>(V)->op() == PrimOp::Add1 ? domain::CloRef::inc()
-                                                   : domain::CloRef::dec()));
-    case ValueKind::VK_Lam:
-      return Val::closures(
-          domain::CloSet::single(domain::CloRef::lam(cast<LamValue>(V))));
-    }
-    assert(false && "unknown value kind");
-    return Val::bot();
-  }
-
-  /// A Cut value node for provenance (goal repetition or budget trip at
-  /// \p T). Only called with Opts.Prov non-null.
-  domain::ProvId cutProv(const syntax::Term *T,
-                         support::DegradeReason R) const {
-    return Opts.Prov->value(domain::EdgeKind::Cut, T->id(), T->loc(),
-                            domain::NoProv, domain::NoProv, R);
-  }
 
   EvalOut evalTerm(const syntax::Term *T, domain::StoreId Sigma,
                    uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return EvalOut{cutAnswer(Sigma), 0,
-                     Opts.Prov ? cutProv(T, Stats.Degraded) : domain::NoProv};
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return EvalOut{cutAnswer(Sigma), 0,
-                     Opts.Prov ? cutProv(T, R) : domain::NoProv};
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
-
-    Key K{T, Sigma};
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(K) != 0; });
-    if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      return EvalOut{It->second, Unconstrained,
-                     Opts.Prov ? Opts.Prov->memoized(T, Sigma)
-                               : domain::NoProv};
-    }
-    if (auto It = Active.find(K); It != Active.end()) {
-      ++Stats.Cuts;
-      return EvalOut{cutAnswer(Sigma), It->second,
-                     Opts.Prov ? cutProv(T, support::DegradeReason::None)
-                               : domain::NoProv};
-    }
-    size_t TraceLine = 0;
-    if (Opts.DerivationSink &&
-        Opts.DerivationSink->size() < Opts.DerivationMaxLines) {
-      TraceLine = Opts.DerivationSink->size();
-      Opts.DerivationSink->push_back(
-          std::string(std::min<uint32_t>(Depth, 40), ' ') + "(" +
-          syntax::print(Ctx, T) + ", sigma) |- ...");
-    }
-
-    Active.emplace(K, Depth);
-    EvalOut Out = evalUncached(T, Sigma, Depth);
-    Active.erase(K);
-
-    if (Opts.DerivationSink && TraceLine < Opts.DerivationSink->size()) {
-      std::string &Line = (*Opts.DerivationSink)[TraceLine];
-      Line.resize(Line.size() - 3); // drop "..."
-      Line += Out.A ? Out.A->Value.str(Ctx) : std::string("dead");
-    }
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo) {
-        Memo.emplace(K, Out.A);
-        if (Opts.Prov)
-          Opts.Prov->memoize(T, Sigma, Out.Prov);
-      }
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
-  }
-
-  /// Provenance of a value form: variables derive from the store fact
-  /// they read; literals, lambdas, and primitives are leaves.
-  domain::ProvId provOfValue(const syntax::Value *V,
-                             domain::StoreId Sigma) const {
-    if (const auto *Var = syntax::dyn_cast<syntax::VarValue>(V))
-      return Opts.Prov->factOf(Vars->of(Var->name()), Sigma);
-    return domain::NoProv;
+    return Goals.solve(Goal{*this, T, Sigma, Depth});
   }
 
   EvalOut evalUncached(const syntax::Term *T, domain::StoreId Sigma,
@@ -312,16 +171,9 @@ private:
     uint32_t X = Vars->of(Let->var());
 
     switch (Bound->kind()) {
-    case TermKind::TK_Value: {
+    case TermKind::TK_Value:
       // (let (x V) M): continue with sigma[x := sigma(x) join u].
-      Val U = phi(cast<ValueTerm>(Bound)->value(), Sigma);
-      domain::StoreId S = Interner.joinAt(Sigma, X, U);
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, X, S, Sigma, Let->id(),
-                          Let->loc(),
-                          provOfValue(cast<ValueTerm>(Bound)->value(), Sigma));
-      return evalTerm(Let->body(), S, Depth + 1);
-    }
+      return evalTerm(Let->body(), this->bindValue(Let, Sigma), Depth + 1);
 
     case TermKind::TK_App: {
       // (let (x (V1 V2)) M): app_e joins over all closures, then the body
@@ -330,14 +182,8 @@ private:
       Val Fun = phi(cast<ValueTerm>(App->fun())->value(), Sigma);
       Val Arg = phi(cast<ValueTerm>(App->arg())->value(), Sigma);
 
-      domain::CloSet &Rec = Cfg.Callees[App];
-      for (const domain::CloRef &C : Fun.Clos)
-        Rec.insert(C);
-
-      if (Fun.Clos.empty()) {
-        ++Stats.DeadPaths; // join over no paths
-        return EvalOut{std::nullopt, Unconstrained};
-      }
+      if (!this->noteCallees(App, Fun))
+        return EvalOut{std::nullopt, Unconstrained}; // join over no paths
 
       std::optional<IAns> Acc;
       uint32_t MinDep = Unconstrained;
@@ -359,12 +205,7 @@ private:
           AiProv = ArgProv;
           break;
         case domain::CloRef::K::Lam: {
-          domain::StoreId S =
-              Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
-          if (Opts.Prov)
-            Opts.Prov->assign(domain::EdgeKind::Flow,
-                              Vars->of(C.Lam->param()), S, Sigma, App->id(),
-                              App->loc(), ArgProv);
+          domain::StoreId S = this->bindParam(App, C.Lam, Sigma, Arg, ArgProv);
           EvalOut R = evalTerm(C.Lam->body(), S, Depth + 1);
           Ai = std::move(R.A);
           AiProv = R.Prov;
@@ -407,19 +248,7 @@ private:
       // two-branch rule — the values and stores of both branches are
       // joined before M is analyzed once.
       const auto *If = cast<If0Term>(Bound);
-      Val U0 = phi(cast<ValueTerm>(If->cond())->value(), Sigma);
-      domain::ZeroTest Zt = D::isZero(U0.Num);
-
-      bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty();
-      bool ElseOnly = Zt == domain::ZeroTest::NonZero ||
-                      Zt == domain::ZeroTest::Bottom;
-
-      BranchInfo &BI = Cfg.Branches[If];
-      BI.ThenFeasible |= !ElseOnly;
-      BI.ElseFeasible |= !ThenOnly;
-      if (ThenOnly || ElseOnly)
-        ++Stats.PrunedBranches;
-
+      auto [ThenOnly, ElseOnly] = this->feasibleArms(If, Sigma);
       if (ThenOnly || ElseOnly) {
         const Term *Branch = ThenOnly ? If->thenBranch() : If->elseBranch();
         EvalOut Bi = evalTerm(Branch, Sigma, Depth + 1);
@@ -467,15 +296,10 @@ private:
       return Body;
     }
 
-    case TermKind::TK_Loop: {
+    case TermKind::TK_Loop:
       // (loop, sigma) M_e (join_i (i, {}), sigma): computable exactly —
       // the join of all naturals is the domain's summary element.
-      domain::StoreId S = Interner.joinAt(Sigma, X, Val::number(D::naturals()));
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Widen, X, S, Sigma, Let->id(),
-                          Let->loc());
-      return evalTerm(Let->body(), S, Depth + 1);
-    }
+      return evalTerm(Let->body(), this->bindNaturals(Let, Sigma), Depth + 1);
 
     case TermKind::TK_Let:
       assert(false && "not ANF: let-bound let");
@@ -485,20 +309,7 @@ private:
     return EvalOut{std::nullopt, Unconstrained};
   }
 
-  const Context &Ctx;
-  const syntax::Term *Program;
-  std::vector<DirectBinding<D>> Initial;
-  AnalyzerOptions Opts;
-
-  std::shared_ptr<domain::VarIndex> Vars;
-  domain::CloSet CloTop;
-  domain::StoreInterner<Val> Interner;
-  AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
-  DirectCfg Cfg;
-
-  std::unordered_map<Key, std::optional<IAns>, KeyHash> Memo;
-  std::unordered_map<Key, uint32_t, KeyHash> Active;
+  GoalDriver<Key, KeyHash, std::optional<IAns>> Goals{this->Opts, this->Stats};
 };
 
 } // namespace analysis

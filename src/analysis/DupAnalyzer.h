@@ -32,22 +32,17 @@
 #ifndef CPSFLOW_ANALYSIS_DUPANALYZER_H
 #define CPSFLOW_ANALYSIS_DUPANALYZER_H
 
+#include "analysis/AnfFrontEnd.h"
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
-#include "analysis/DirectAnalyzer.h"
-#include "analysis/Universe.h"
-#include "anf/Anf.h"
-#include "domain/AbsStore.h"
+#include "analysis/GoalDriver.h"
 #include "domain/AbsValue.h"
 #include "domain/StoreInterner.h"
 #include "syntax/Ast.h"
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,67 +50,35 @@ namespace cpsflow {
 namespace analysis {
 
 /// The bounded-duplication analyzer. Single-use.
-template <typename D> class DupAnalyzer {
+template <typename D> class DupAnalyzer : public AnfFrontEnd<D> {
+  using Base = AnfFrontEnd<D>;
+
 public:
-  using Val = domain::AbsVal<D>;
-  using StoreT = domain::AbsStore<Val>;
-  using Answer = AnswerOf<Val>;
+  using typename Base::Val;
 
   /// \p Budget is the duplication depth d described above.
   DupAnalyzer(const Context &Ctx, const syntax::Term *Program,
               std::vector<DirectBinding<D>> Initial = {},
               uint64_t Budget = 2, AnalyzerOptions Opts = AnalyzerOptions())
-      : Ctx(Ctx), Program(Program), Initial(std::move(Initial)),
-        Budget(Budget), Opts(Opts) {
-    assert(anf::isAnfQuick(Program) && "requires A-normal form");
-
-    std::vector<const syntax::LamValue *> ExtraLams;
-    std::vector<Symbol> ExtraVars;
-    for (const DirectBinding<D> &B : this->Initial) {
-      ExtraVars.push_back(B.Var);
-      for (const domain::CloRef &C : B.Value.Clos)
-        if (C.Tag == domain::CloRef::K::Lam)
-          ExtraLams.push_back(C.Lam);
-    }
-    Vars = std::make_shared<domain::VarIndex>(
-        directVariableUniverse(Program, ExtraLams, ExtraVars));
-    CloTop = directClosureUniverse(Program, ExtraLams);
-    Interner.attachMetrics(this->Opts.Metrics);
-    Interner.reset(Vars->size());
-  }
+      : Base(Ctx, Program, std::move(Initial), std::move(Opts)),
+        Budget(Budget) {}
 
   DirectResult<D> run() {
-    domain::StoreId Sigma0 = Interner.bottom();
-    for (const DirectBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, Vars->of(B.Var), B.Value);
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(B.Var), Next, Sigma0);
-      Sigma0 = Next;
-    }
-
-    EvalOut Out = evalTerm(Program, Sigma0, Budget, 0);
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
-    if (Opts.Prov)
-      Opts.Prov->noteFinal(Out.A ? Out.A->Store : Interner.bottom());
-
-    DirectResult<D> R;
-    R.Answer = Out.A ? Answer{std::move(Out.A->Value),
-                              Interner.store(Out.A->Store)}
-                     : Answer{Val::bot(), StoreT(Vars->size())};
-    R.Stats = Stats;
-    R.Cfg = std::move(Cfg);
-    R.Vars = Vars;
-    return R;
+    EvalOut Out = evalTerm(Program, this->initialStore(), Budget, 0);
+    return this->result(std::move(Out.A), Goals.memo().size());
   }
 
-  /// The run's hash-consing table (observability: distinct stores seen).
-  const domain::StoreInterner<Val> &interner() const { return Interner; }
-
 private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
-
-  using IAns = InternedAnswerOf<Val>;
+  using typename Base::IAns;
+  using typename Base::Key;
+  using typename Base::KeyHash;
+  using Base::Interner;
+  using Base::Opts;
+  using Base::Program;
+  using Base::Stats;
+  using Base::Vars;
+  using Base::phi;
+  using Base::provOfValue;
 
   /// A disengaged answer means the goal is dead (join over zero paths);
   /// see DirectAnalyzer.
@@ -124,17 +87,20 @@ private:
     uint32_t MinDep;
   };
 
-  struct Key {
+  /// Memo key (term, credit, store). Goals are cut on the (term, store)
+  /// Key: recursion through the same (term, store) at any credit level is
+  /// the same loop.
+  struct CreditKey {
     const void *Node;
     uint64_t Credit;
     domain::StoreId Store;
 
-    friend bool operator==(const Key &A, const Key &B) {
+    friend bool operator==(const CreditKey &A, const CreditKey &B) {
       return A.Node == B.Node && A.Credit == B.Credit && A.Store == B.Store;
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
+  struct CreditKeyHash {
+    size_t operator()(const CreditKey &K) const {
       uint64_t H = hashPointer(K.Node);
       hashCombine(H, K.Credit);
       hashCombine(H, K.Store);
@@ -142,80 +108,34 @@ private:
     }
   };
 
-  IAns cutAnswer(domain::StoreId Sigma) const {
-    Val V;
-    V.Num = D::top();
-    V.Clos = CloTop;
-    return IAns{std::move(V), Sigma};
-  }
+  /// The goal (T, credit, sigma) at \p Depth, as GoalDriver hooks.
+  struct Goal {
+    DupAnalyzer &Self;
+    const syntax::Term *T;
+    domain::StoreId Sigma;
+    uint64_t Credit;
+    uint32_t Depth;
 
-  Val phi(const syntax::Value *V, domain::StoreId Sigma) const {
-    using namespace syntax;
-    switch (V->kind()) {
-    case ValueKind::VK_Num:
-      return Val::number(D::constant(cast<NumValue>(V)->value()));
-    case ValueKind::VK_Var:
-      return Interner.get(Sigma, Vars->of(cast<VarValue>(V)->name()));
-    case ValueKind::VK_Prim:
-      return Val::closures(domain::CloSet::single(
-          cast<PrimValue>(V)->op() == PrimOp::Add1 ? domain::CloRef::inc()
-                                                   : domain::CloRef::dec()));
-    case ValueKind::VK_Lam:
-      return Val::closures(
-          domain::CloSet::single(domain::CloRef::lam(cast<LamValue>(V))));
+    CreditKey key() const { return CreditKey{T, Credit, Sigma}; }
+    Key activeKey() const { return Key{T, Sigma}; }
+    size_t storeBytes() const { return Self.Interner.approxBytes(); }
+    EvalOut cutOff(uint32_t MinDep) const {
+      return EvalOut{IAns{Self.cutValue(), Sigma}, MinDep};
     }
-    assert(false && "unknown value kind");
-    return Val::bot();
-  }
+    EvalOut exhausted(support::DegradeReason) const { return cutOff(0); }
+    EvalOut cut(uint32_t AncestorDepth) const { return cutOff(AncestorDepth); }
+    EvalOut hit(const std::optional<IAns> &M) const {
+      return EvalOut{M, Unconstrained};
+    }
+    EvalOut walk() const { return Self.evalUncached(T, Sigma, Credit, Depth); }
+    const std::optional<IAns> &memoValue(const EvalOut &O) const {
+      return O.A;
+    }
+  };
 
   EvalOut evalTerm(const syntax::Term *T, domain::StoreId Sigma,
                    uint64_t Credit, uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return EvalOut{cutAnswer(Sigma), 0};
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return EvalOut{cutAnswer(Sigma), 0};
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
-
-    Key K{T, Credit, Sigma};
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(K) != 0; });
-    if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      return EvalOut{It->second, Unconstrained};
-    }
-    // The cut key deliberately ignores the credit: recursion through the
-    // same (term, store) at any credit level is the same loop.
-    Key AKey{T, 0, Sigma};
-    if (auto It = Active.find(AKey); It != Active.end()) {
-      ++Stats.Cuts;
-      return EvalOut{cutAnswer(Sigma), It->second};
-    }
-
-    Active.emplace(AKey, Depth);
-    EvalOut Out = evalUncached(T, Sigma, Credit, Depth);
-    Active.erase(AKey);
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo)
-        Memo.emplace(K, Out.A);
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
-  }
-
-  /// Provenance of a value form: variables derive from the store fact
-  /// they read; literals, lambdas, and primitives are leaves.
-  domain::ProvId provOfValue(const syntax::Value *V,
-                             domain::StoreId Sigma) const {
-    if (const auto *Var = syntax::dyn_cast<syntax::VarValue>(V))
-      return Opts.Prov->factOf(Vars->of(Var->name()), Sigma);
-    return domain::NoProv;
+    return Goals.solve(Goal{*this, T, Sigma, Credit, Depth});
   }
 
   EvalOut evalUncached(const syntax::Term *T, domain::StoreId Sigma,
@@ -230,29 +150,17 @@ private:
     uint32_t X = Vars->of(Let->var());
 
     switch (Bound->kind()) {
-    case TermKind::TK_Value: {
-      Val U = phi(cast<ValueTerm>(Bound)->value(), Sigma);
-      domain::StoreId S = Interner.joinAt(Sigma, X, U);
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, X, S, Sigma, Let->id(),
-                          Let->loc(),
-                          provOfValue(cast<ValueTerm>(Bound)->value(), Sigma));
-      return evalTerm(Let->body(), S, Credit, Depth + 1);
-    }
+    case TermKind::TK_Value:
+      return evalTerm(Let->body(), this->bindValue(Let, Sigma), Credit,
+                      Depth + 1);
 
     case TermKind::TK_App: {
       const auto *App = cast<AppTerm>(Bound);
       Val Fun = phi(cast<ValueTerm>(App->fun())->value(), Sigma);
       Val Arg = phi(cast<ValueTerm>(App->arg())->value(), Sigma);
 
-      domain::CloSet &Rec = Cfg.Callees[App];
-      for (const domain::CloRef &C : Fun.Clos)
-        Rec.insert(C);
-
-      if (Fun.Clos.empty()) {
-        ++Stats.DeadPaths;
-        return EvalOut{std::nullopt, Unconstrained};
-      }
+      if (!this->noteCallees(App, Fun))
+        return EvalOut{std::nullopt, Unconstrained}; // join over no paths
 
       bool Duplicate = Credit > 0 && Fun.Clos.size() > 1;
       uint64_t SubCredit = Duplicate ? Credit - 1 : Credit;
@@ -274,12 +182,7 @@ private:
           Ai = IAns{Val::number(D::sub1(Arg.Num)), Sigma};
           break;
         case domain::CloRef::K::Lam: {
-          domain::StoreId S =
-              Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
-          if (Opts.Prov)
-            Opts.Prov->assign(domain::EdgeKind::Flow,
-                              Vars->of(C.Lam->param()), S, Sigma, App->id(),
-                              App->loc(), ArgProv);
+          domain::StoreId S = this->bindParam(App, C.Lam, Sigma, Arg, ArgProv);
           EvalOut R = evalTerm(C.Lam->body(), S, SubCredit, Depth + 1);
           Ai = std::move(R.A);
           MinDep = std::min(MinDep, R.MinDep);
@@ -335,19 +238,7 @@ private:
 
     case TermKind::TK_If0: {
       const auto *If = cast<If0Term>(Bound);
-      Val U0 = phi(cast<ValueTerm>(If->cond())->value(), Sigma);
-      domain::ZeroTest Zt = D::isZero(U0.Num);
-
-      bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty();
-      bool ElseOnly = Zt == domain::ZeroTest::NonZero ||
-                      Zt == domain::ZeroTest::Bottom;
-
-      BranchInfo &BI = Cfg.Branches[If];
-      BI.ThenFeasible |= !ElseOnly;
-      BI.ElseFeasible |= !ThenOnly;
-      if (ThenOnly || ElseOnly)
-        ++Stats.PrunedBranches;
-
+      auto [ThenOnly, ElseOnly] = this->feasibleArms(If, Sigma);
       if (ThenOnly || ElseOnly) {
         const Term *Branch = ThenOnly ? If->thenBranch() : If->elseBranch();
         EvalOut Bi = evalTerm(Branch, Sigma, Credit, Depth + 1);
@@ -418,14 +309,9 @@ private:
       return Body;
     }
 
-    case TermKind::TK_Loop: {
-      domain::StoreId S =
-          Interner.joinAt(Sigma, X, Val::number(D::naturals()));
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Widen, X, S, Sigma, Let->id(),
-                          Let->loc());
-      return evalTerm(Let->body(), S, Credit, Depth + 1);
-    }
+    case TermKind::TK_Loop:
+      return evalTerm(Let->body(), this->bindNaturals(Let, Sigma), Credit,
+                      Depth + 1);
 
     case TermKind::TK_Let:
       assert(false && "not ANF: let-bound let");
@@ -435,21 +321,9 @@ private:
     return EvalOut{std::nullopt, Unconstrained};
   }
 
-  const Context &Ctx;
-  const syntax::Term *Program;
-  std::vector<DirectBinding<D>> Initial;
   uint64_t Budget;
-  AnalyzerOptions Opts;
-
-  std::shared_ptr<domain::VarIndex> Vars;
-  domain::CloSet CloTop;
-  domain::StoreInterner<Val> Interner;
-  AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
-  DirectCfg Cfg;
-
-  std::unordered_map<Key, std::optional<IAns>, KeyHash> Memo;
-  std::unordered_map<Key, uint32_t, KeyHash> Active;
+  GoalDriver<CreditKey, CreditKeyHash, std::optional<IAns>, Key, KeyHash>
+      Goals{this->Opts, this->Stats};
 };
 
 } // namespace analysis

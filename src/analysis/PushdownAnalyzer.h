@@ -41,20 +41,18 @@
 /// usual DegradeReason taxonomy. The loop rule is direct's exact
 /// Section 6.2 summary (the join of all naturals), so LoopBounded stays
 /// false. Stores are hash-consed in the shared per-run StoreInterner, and
-/// provenance/metrics/trace hooks are threaded exactly like the other
-/// other four analyzers.
+/// the goal discipline with its provenance/metrics/trace hooks is the
+/// GoalDriver the other four analyzers use.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPSFLOW_ANALYSIS_PUSHDOWNANALYZER_H
 #define CPSFLOW_ANALYSIS_PUSHDOWNANALYZER_H
 
+#include "analysis/AnfFrontEnd.h"
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
-#include "analysis/DirectAnalyzer.h"
-#include "analysis/Universe.h"
-#include "anf/Anf.h"
-#include "domain/AbsStore.h"
+#include "analysis/GoalDriver.h"
 #include "domain/AbsValue.h"
 #include "domain/StoreInterner.h"
 #include "syntax/Analysis.h"
@@ -63,12 +61,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,46 +91,22 @@ template <typename D> using PushdownResult = DirectResult<D>;
 
 /// The pushdown analyzer, parameterized by the numeric domain \p D.
 /// Single-use: construct and call run() once.
-template <typename D> class PushdownAnalyzer {
+template <typename D> class PushdownAnalyzer : public AnfFrontEnd<D> {
+  using Base = AnfFrontEnd<D>;
+
 public:
-  using Val = domain::AbsVal<D>;
-  using StoreT = domain::AbsStore<Val>;
-  using Answer = AnswerOf<Val>;
+  using typename Base::Val;
 
   /// \pre \p Program is in A-normal form with unique binders; the lambdas
   /// referenced by \p Initial use binders disjoint from \p Program's.
   PushdownAnalyzer(const Context &Ctx, const syntax::Term *Program,
                    std::vector<DirectBinding<D>> Initial = {},
                    AnalyzerOptions Opts = AnalyzerOptions())
-      : Ctx(Ctx), Program(Program), Initial(std::move(Initial)), Opts(Opts) {
-    assert(anf::isAnfQuick(Program) && "pushdown requires A-normal form");
-
-    std::vector<const syntax::LamValue *> ExtraLams;
-    std::vector<Symbol> ExtraVars;
-    for (const DirectBinding<D> &B : this->Initial) {
-      ExtraVars.push_back(B.Var);
-      for (const domain::CloRef &C : B.Value.Clos)
-        if (C.Tag == domain::CloRef::K::Lam)
-          ExtraLams.push_back(C.Lam);
-    }
-    Vars = std::make_shared<domain::VarIndex>(
-        directVariableUniverse(Program, ExtraLams, ExtraVars));
-    CloTop = directClosureUniverse(Program, ExtraLams);
-    Interner.attachMetrics(this->Opts.Metrics);
-    Interner.reset(Vars->size());
-  }
+      : Base(Ctx, Program, std::move(Initial), std::move(Opts)) {}
 
   /// Runs the analysis from the initial store.
   PushdownResult<D> run() {
-    domain::StoreId Sigma0 = Interner.bottom();
-    for (const DirectBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, Vars->of(B.Var), B.Value);
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(B.Var), Next, Sigma0);
-      Sigma0 = Next;
-    }
-
-    EvalOut Out = evalTerm(Program, Sigma0, 0);
+    EvalOut Out = evalTerm(Program, this->initialStore(), 0);
 
     // The one and only join: fold the whole-program answer set. Every
     // merge the direct analyzer performs mid-derivation is deferred to
@@ -162,31 +133,20 @@ public:
       }
     }
 
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
-    if (Opts.Prov)
-      Opts.Prov->noteFinal(Acc ? Acc->Store : Interner.bottom());
-
-    PushdownResult<D> R;
-    R.Answer = Acc ? Answer{std::move(Acc->Value), Interner.store(Acc->Store)}
-                   : Answer{Val::bot(), StoreT(Vars->size())};
-    R.Stats = Stats;
-    R.Cfg = std::move(Cfg);
-    R.Vars = Vars;
-    return R;
+    return this->result(std::move(Acc), Goals.memo().size());
   }
 
-  /// The universe of abstract closures CL_T, used for the Section 4.4
-  /// cut-off value.
-  const domain::CloSet &closureUniverse() const { return CloTop; }
-
-  /// The run's hash-consing table (observability: distinct stores seen).
-  const domain::StoreInterner<Val> &interner() const { return Interner; }
-
 private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
-
-  using IAns = InternedAnswerOf<Val>;
+  using typename Base::IAns;
+  using typename Base::Key;
+  using typename Base::KeyHash;
+  using Base::Interner;
+  using Base::Opts;
+  using Base::Program;
+  using Base::Stats;
+  using Base::Vars;
+  using Base::phi;
+  using Base::provOfValue;
 
   /// One per-path result of a goal: the value the term evaluated to, the
   /// store it finished in, and the derivation of the value.
@@ -207,22 +167,6 @@ private:
     uint32_t MinDep = Unconstrained;
   };
 
-  struct Key {
-    const void *Node;
-    domain::StoreId Store;
-
-    friend bool operator==(const Key &A, const Key &B) {
-      return A.Node == B.Node && A.Store == B.Store;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      uint64_t H = hashPointer(K.Node);
-      hashCombine(H, K.Store);
-      return H;
-    }
-  };
-
   /// Appends \p P unless an identical (value, store) pair is present.
   static void appendPair(std::vector<PdAns> &Out, PdAns P) {
     for (const PdAns &Q : Out)
@@ -234,111 +178,51 @@ private:
   /// The Section 4.4 cut-off: a single least-precise path.
   EvalOut cutPairs(domain::StoreId Sigma, domain::ProvId Prov,
                    uint32_t MinDep) const {
-    Val V;
-    V.Num = D::top();
-    V.Clos = CloTop;
     EvalOut Out;
-    Out.Pairs.push_back(PdAns{std::move(V), Sigma, Prov});
+    Out.Pairs.push_back(PdAns{this->cutValue(), Sigma, Prov});
     Out.MinDep = MinDep;
     return Out;
   }
 
-  // phi_e of Figure 4 — value forms are shared with the direct world.
-  Val phi(const syntax::Value *V, domain::StoreId Sigma) const {
-    using namespace syntax;
-    switch (V->kind()) {
-    case ValueKind::VK_Num:
-      return Val::number(D::constant(cast<NumValue>(V)->value()));
-    case ValueKind::VK_Var:
-      return Interner.get(Sigma, Vars->of(cast<VarValue>(V)->name()));
-    case ValueKind::VK_Prim:
-      return Val::closures(domain::CloSet::single(
-          cast<PrimValue>(V)->op() == PrimOp::Add1 ? domain::CloRef::inc()
-                                                   : domain::CloRef::dec()));
-    case ValueKind::VK_Lam:
-      return Val::closures(
-          domain::CloSet::single(domain::CloRef::lam(cast<LamValue>(V))));
+  /// The goal (T, sigma) at \p Depth, as GoalDriver hooks.
+  struct Goal {
+    PushdownAnalyzer &Self;
+    const syntax::Term *T;
+    domain::StoreId Sigma;
+    uint32_t Depth;
+
+    Key key() const { return Key{T, Sigma}; }
+    size_t storeBytes() const { return Self.Interner.approxBytes(); }
+    EvalOut exhausted(support::DegradeReason R) const {
+      return Self.cutPairs(
+          Sigma, Self.Opts.Prov ? Self.cutProv(T, R) : domain::NoProv, 0);
     }
-    assert(false && "unknown value kind");
-    return Val::bot();
-  }
-
-  /// A Cut value node for provenance. Only called with Opts.Prov non-null.
-  domain::ProvId cutProv(const syntax::Term *T,
-                         support::DegradeReason R) const {
-    return Opts.Prov->value(domain::EdgeKind::Cut, T->id(), T->loc(),
-                            domain::NoProv, domain::NoProv, R);
-  }
-
-  /// Provenance of a value form: variables derive from the store fact
-  /// they read; literals, lambdas, and primitives are leaves.
-  domain::ProvId provOfValue(const syntax::Value *V,
-                             domain::StoreId Sigma) const {
-    if (const auto *Var = syntax::dyn_cast<syntax::VarValue>(V))
-      return Opts.Prov->factOf(Vars->of(Var->name()), Sigma);
-    return domain::NoProv;
-  }
+    EvalOut cut(uint32_t AncestorDepth) const {
+      return Self.cutPairs(Sigma,
+                           Self.Opts.Prov
+                               ? Self.cutProv(T, support::DegradeReason::None)
+                               : domain::NoProv,
+                           AncestorDepth);
+    }
+    EvalOut hit(const std::vector<PdAns> &M) const {
+      return EvalOut{M, Unconstrained};
+    }
+    EvalOut walk() const { return Self.evalUncached(T, Sigma, Depth); }
+    const std::vector<PdAns> &memoValue(const EvalOut &O) const {
+      return O.Pairs;
+    }
+    std::string derivationTerm() const { return syntax::print(Self.Ctx, T); }
+    std::string derivationAnswer(const EvalOut &O) const {
+      if (O.Pairs.empty())
+        return "dead";
+      return std::to_string(O.Pairs.size()) + " path(s), first " +
+             O.Pairs.front().V.str(Self.Ctx);
+    }
+  };
 
   EvalOut evalTerm(const syntax::Term *T, domain::StoreId Sigma,
                    uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return cutPairs(Sigma,
-                      Opts.Prov ? cutProv(T, Stats.Degraded) : domain::NoProv,
-                      0);
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return cutPairs(Sigma, Opts.Prov ? cutProv(T, R) : domain::NoProv, 0);
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
-
-    Key K{T, Sigma};
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(K) != 0; });
-    if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      return EvalOut{It->second, Unconstrained};
-    }
-    if (auto It = Active.find(K); It != Active.end()) {
-      ++Stats.Cuts;
-      return cutPairs(Sigma,
-                      Opts.Prov ? cutProv(T, support::DegradeReason::None)
-                                : domain::NoProv,
-                      It->second);
-    }
-
-    size_t TraceLine = 0;
-    if (Opts.DerivationSink &&
-        Opts.DerivationSink->size() < Opts.DerivationMaxLines) {
-      TraceLine = Opts.DerivationSink->size();
-      Opts.DerivationSink->push_back(
-          std::string(std::min<uint32_t>(Depth, 40), ' ') + "(" +
-          syntax::print(Ctx, T) + ", sigma) |- ...");
-    }
-
-    Active.emplace(K, Depth);
-    EvalOut Out = evalUncached(T, Sigma, Depth);
-    Active.erase(K);
-
-    if (Opts.DerivationSink && TraceLine < Opts.DerivationSink->size()) {
-      std::string &Line = (*Opts.DerivationSink)[TraceLine];
-      Line.resize(Line.size() - 3); // drop "..."
-      if (Out.Pairs.empty())
-        Line += "dead";
-      else
-        Line += std::to_string(Out.Pairs.size()) + " path(s), first " +
-                Out.Pairs.front().V.str(Ctx);
-    }
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo)
-        Memo.emplace(K, Out.Pairs);
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
+    return Goals.solve(Goal{*this, T, Sigma, Depth});
   }
 
   /// Binds every pair of \p Vals into slot \p X and resumes \p Body once
@@ -380,16 +264,9 @@ private:
     uint32_t X = Vars->of(Let->var());
 
     switch (Bound->kind()) {
-    case TermKind::TK_Value: {
+    case TermKind::TK_Value:
       // (let (x V) M): continue with sigma[x := sigma(x) join u].
-      Val U = phi(cast<ValueTerm>(Bound)->value(), Sigma);
-      domain::StoreId S = Interner.joinAt(Sigma, X, U);
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, X, S, Sigma, Let->id(),
-                          Let->loc(),
-                          provOfValue(cast<ValueTerm>(Bound)->value(), Sigma));
-      return evalTerm(Let->body(), S, Depth + 1);
-    }
+      return evalTerm(Let->body(), this->bindValue(Let, Sigma), Depth + 1);
 
     case TermKind::TK_App: {
       // (let (x (V1 V2)) M): every abstract closure is applied, but the
@@ -400,14 +277,8 @@ private:
       Val Fun = phi(cast<ValueTerm>(App->fun())->value(), Sigma);
       Val Arg = phi(cast<ValueTerm>(App->arg())->value(), Sigma);
 
-      domain::CloSet &Rec = Cfg.Callees[App];
-      for (const domain::CloRef &C : Fun.Clos)
-        Rec.insert(C);
-
-      if (Fun.Clos.empty()) {
-        ++Stats.DeadPaths; // the set over no paths
-        return EvalOut{};
-      }
+      if (!this->noteCallees(App, Fun))
+        return EvalOut{}; // the set over no paths
 
       domain::ProvId ArgProv =
           Opts.Prov ? provOfValue(cast<ValueTerm>(App->arg())->value(), Sigma)
@@ -425,12 +296,7 @@ private:
                      PdAns{Val::number(D::sub1(Arg.Num)), Sigma, ArgProv});
           break;
         case domain::CloRef::K::Lam: {
-          domain::StoreId S =
-              Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
-          if (Opts.Prov)
-            Opts.Prov->assign(domain::EdgeKind::Flow,
-                              Vars->of(C.Lam->param()), S, Sigma, App->id(),
-                              App->loc(), ArgProv);
+          domain::StoreId S = this->bindParam(App, C.Lam, Sigma, Arg, ArgProv);
           EvalOut R = evalTerm(C.Lam->body(), S, Depth + 1);
           MinDep = std::min(MinDep, R.MinDep);
           for (PdAns &P : R.Pairs)
@@ -453,19 +319,7 @@ private:
       // analyzed, but never joined — each arm's paths resume the body
       // separately (contrast Figure 4's merging two-branch rule).
       const auto *If = cast<If0Term>(Bound);
-      Val U0 = phi(cast<ValueTerm>(If->cond())->value(), Sigma);
-      domain::ZeroTest Zt = D::isZero(U0.Num);
-
-      bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty();
-      bool ElseOnly = Zt == domain::ZeroTest::NonZero ||
-                      Zt == domain::ZeroTest::Bottom;
-
-      BranchInfo &BI = Cfg.Branches[If];
-      BI.ThenFeasible |= !ElseOnly;
-      BI.ElseFeasible |= !ThenOnly;
-      if (ThenOnly || ElseOnly)
-        ++Stats.PrunedBranches;
-
+      auto [ThenOnly, ElseOnly] = this->feasibleArms(If, Sigma);
       std::vector<PdAns> ArmPairs;
       uint32_t MinDep = Unconstrained;
       if (!ElseOnly) {
@@ -489,17 +343,11 @@ private:
       return Body;
     }
 
-    case TermKind::TK_Loop: {
+    case TermKind::TK_Loop:
       // (loop, sigma) |- {(join_i (i, {}), sigma)}: Section 6.2's exact
       // computable summary, identical to the direct rule — no bounded
       // unrolling, so LoopBounded stays false.
-      domain::StoreId S =
-          Interner.joinAt(Sigma, X, Val::number(D::naturals()));
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Widen, X, S, Sigma, Let->id(),
-                          Let->loc());
-      return evalTerm(Let->body(), S, Depth + 1);
-    }
+      return evalTerm(Let->body(), this->bindNaturals(Let, Sigma), Depth + 1);
 
     case TermKind::TK_Let:
       assert(false && "not ANF: let-bound let");
@@ -509,20 +357,7 @@ private:
     return EvalOut{};
   }
 
-  const Context &Ctx;
-  const syntax::Term *Program;
-  std::vector<DirectBinding<D>> Initial;
-  AnalyzerOptions Opts;
-
-  std::shared_ptr<domain::VarIndex> Vars;
-  domain::CloSet CloTop;
-  domain::StoreInterner<Val> Interner;
-  AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
-  DirectCfg Cfg;
-
-  std::unordered_map<Key, std::vector<PdAns>, KeyHash> Memo;
-  std::unordered_map<Key, uint32_t, KeyHash> Active;
+  GoalDriver<Key, KeyHash, std::vector<PdAns>> Goals{this->Opts, this->Stats};
 };
 
 } // namespace analysis

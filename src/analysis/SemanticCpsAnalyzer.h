@@ -41,11 +41,10 @@
 #ifndef CPSFLOW_ANALYSIS_SEMANTICCPSANALYZER_H
 #define CPSFLOW_ANALYSIS_SEMANTICCPSANALYZER_H
 
+#include "analysis/AnfFrontEnd.h"
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
-#include "analysis/Universe.h"
-#include "anf/Anf.h"
-#include "domain/AbsStore.h"
+#include "analysis/GoalDriver.h"
 #include "domain/AbsValue.h"
 #include "domain/StoreInterner.h"
 #include "syntax/Ast.h"
@@ -53,8 +52,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <limits>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -62,85 +59,41 @@
 namespace cpsflow {
 namespace analysis {
 
-/// Result of a Figure 5 run. The value/store types match the direct
-/// analyzer's, which is what makes the Theorem 5.4 comparison direct.
-template <typename D> struct SemanticResult {
-  using Val = domain::AbsVal<D>;
-
-  AnswerOf<Val> Answer;
-  AnalyzerStats Stats;
-  DirectCfg Cfg;
-  std::shared_ptr<domain::VarIndex> Vars;
-
-  Val valueOf(Symbol X) const {
-    if (auto I = Vars->tryOf(X))
-      return Answer.Store.get(*I);
-    return Val::bot();
-  }
-};
+/// Result of a Figure 5 run: the direct analyzer's result shape, which is
+/// what makes the Theorem 5.4 comparison direct.
+template <typename D> using SemanticResult = DirectResult<D>;
 
 /// The Figure 5 analyzer. Single-use.
-template <typename D> class SemanticCpsAnalyzer {
+template <typename D> class SemanticCpsAnalyzer : public AnfFrontEnd<D> {
+  using Base = AnfFrontEnd<D>;
+
 public:
-  using Val = domain::AbsVal<D>;
-  using StoreT = domain::AbsStore<Val>;
-  using Answer = AnswerOf<Val>;
+  using typename Base::Val;
 
   /// \pre \p Program is in A-normal form with unique binders.
   SemanticCpsAnalyzer(const Context &Ctx, const syntax::Term *Program,
                       std::vector<DirectBinding<D>> Initial = {},
                       AnalyzerOptions Opts = AnalyzerOptions())
-      : Ctx(Ctx), Program(Program), Initial(std::move(Initial)), Opts(Opts) {
-    assert(anf::isAnfQuick(Program) && "Figure 5 requires A-normal form");
-
-    std::vector<const syntax::LamValue *> ExtraLams;
-    std::vector<Symbol> ExtraVars;
-    for (const DirectBinding<D> &B : this->Initial) {
-      ExtraVars.push_back(B.Var);
-      for (const domain::CloRef &C : B.Value.Clos)
-        if (C.Tag == domain::CloRef::K::Lam)
-          ExtraLams.push_back(C.Lam);
-    }
-    Vars = std::make_shared<domain::VarIndex>(
-        directVariableUniverse(Program, ExtraLams, ExtraVars));
-    CloTop = directClosureUniverse(Program, ExtraLams);
-    Interner.attachMetrics(this->Opts.Metrics);
-    Interner.reset(Vars->size());
-  }
+      : Base(Ctx, Program, std::move(Initial), std::move(Opts)) {}
 
   /// Runs the analysis with the empty continuation `nil`.
   SemanticResult<D> run() {
-    domain::StoreId Sigma0 = Interner.bottom();
-    for (const DirectBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, Vars->of(B.Var), B.Value);
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(B.Var), Next, Sigma0);
-      Sigma0 = Next;
-    }
-
-    EvalOut Out = evalC(Program, /*K=*/nullptr, Sigma0, 0);
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
-    if (Opts.Prov)
-      Opts.Prov->noteFinal(Out.A.Store);
-
-    SemanticResult<D> R;
-    R.Answer = Answer{std::move(Out.A.Value), Interner.store(Out.A.Store)};
-    R.Stats = Stats;
-    R.Cfg = std::move(Cfg);
-    R.Vars = Vars;
-    return R;
+    EvalOut Out = evalC(Program, /*K=*/nullptr, this->initialStore(), 0);
+    return this->result(std::move(Out.A), Goals.memo().size());
   }
 
-  const domain::CloSet &closureUniverse() const { return CloTop; }
-
-  /// The run's hash-consing table (observability: distinct stores seen).
-  const domain::StoreInterner<Val> &interner() const { return Interner; }
-
 private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
-
-  using IAns = InternedAnswerOf<Val>;
+  using typename Base::IAns;
+  using typename Base::Key;
+  using typename Base::KeyHash;
+  using Base::Interner;
+  using Base::Opts;
+  using Base::Program;
+  using Base::Stats;
+  using Base::Vars;
+  using Base::cutValue;
+  using Base::phi;
+  using Base::provOfValue;
 
   /// An abstract continuation: a hash-consed list of `(let (x []) M)`
   /// frames. nullptr is nil. Hash-consing makes kappa equality a pointer
@@ -170,20 +123,19 @@ private:
     uint32_t MinDep;
   };
 
-  /// Memo key: (term, kappa, store). Active key: (term, store) with
-  /// kappa == nullptr as a sentinel (terms never collide across the two
-  /// tables since they are separate maps).
-  struct Key {
+  /// Memo key (term, kappa, store). Goals are cut on the coarser
+  /// (term, store) Key: a repeated pair loops whatever the continuation.
+  struct KontKey {
     const void *Node;
     const KontNode *Kont;
     domain::StoreId Store;
 
-    friend bool operator==(const Key &A, const Key &B) {
+    friend bool operator==(const KontKey &A, const KontKey &B) {
       return A.Node == B.Node && A.Kont == B.Kont && A.Store == B.Store;
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
+  struct KontKeyHash {
+    size_t operator()(const KontKey &K) const {
       uint64_t H = hashPointer(K.Node);
       hashCombine(H, K.Kont ? K.Kont->H : 0x171);
       hashCombine(H, K.Store);
@@ -192,41 +144,6 @@ private:
   };
 
   IAns bottomAnswer() { return IAns{Val::bot(), Interner.bottom()}; }
-
-  Val cutValue() const {
-    Val V;
-    V.Num = D::top();
-    V.Clos = CloTop;
-    return V;
-  }
-
-  Val phi(const syntax::Value *V, domain::StoreId Sigma) const {
-    using namespace syntax;
-    switch (V->kind()) {
-    case ValueKind::VK_Num:
-      return Val::number(D::constant(cast<NumValue>(V)->value()));
-    case ValueKind::VK_Var:
-      return Interner.get(Sigma, Vars->of(cast<VarValue>(V)->name()));
-    case ValueKind::VK_Prim:
-      return Val::closures(domain::CloSet::single(
-          cast<PrimValue>(V)->op() == PrimOp::Add1 ? domain::CloRef::inc()
-                                                   : domain::CloRef::dec()));
-    case ValueKind::VK_Lam:
-      return Val::closures(
-          domain::CloSet::single(domain::CloRef::lam(cast<LamValue>(V))));
-    }
-    assert(false && "unknown value kind");
-    return Val::bot();
-  }
-
-  /// Provenance of a value form: variables derive from the store fact
-  /// they read; literals, lambdas, and primitives are leaves.
-  domain::ProvId provOfValue(const syntax::Value *V,
-                             domain::StoreId Sigma) const {
-    if (const auto *Var = syntax::dyn_cast<syntax::VarValue>(V))
-      return Opts.Prov->factOf(Vars->of(Var->name()), Sigma);
-    return domain::NoProv;
-  }
 
   /// appr_e: deliver \p U to \p K. nil yields the final answer. \p UProv
   /// is the derivation of U (meaningful only with Opts.Prov attached).
@@ -245,14 +162,8 @@ private:
   /// the whole continuation \p K; join the final answers.
   EvalOut appke(const syntax::AppTerm *Site, const Val &Fun, const Val &Arg,
                 const KontNode *K, domain::StoreId Sigma, uint32_t Depth) {
-    domain::CloSet &Rec = Cfg.Callees[Site];
-    for (const domain::CloRef &C : Fun.Clos)
-      Rec.insert(C);
-
-    if (Fun.Clos.empty()) {
-      ++Stats.DeadPaths; // join over no paths
-      return EvalOut{bottomAnswer(), Unconstrained};
-    }
+    if (!this->noteCallees(Site, Fun))
+      return EvalOut{bottomAnswer(), Unconstrained}; // join over no paths
 
     if (Fun.Clos.size() > 1)
       Stats.Joins += Fun.Clos.size() - 1; // final answers get k-way merged
@@ -275,15 +186,11 @@ private:
         Ri = appre(K, Val::number(D::sub1(Arg.Num)), Sigma, Depth + 1,
                    ArgProv);
         break;
-      case domain::CloRef::K::Lam: {
-        domain::StoreId S =
-            Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
-        if (Opts.Prov)
-          Opts.Prov->assign(domain::EdgeKind::Flow, Vars->of(C.Lam->param()),
-                            S, Sigma, Site->id(), Site->loc(), ArgProv);
-        Ri = evalC(C.Lam->body(), K, S, Depth + 1);
+      case domain::CloRef::K::Lam:
+        Ri = evalC(C.Lam->body(), K,
+                   this->bindParam(Site, C.Lam, Sigma, Arg, ArgProv),
+                   Depth + 1);
         break;
-      }
       }
       Acc = Opts.Prov ? joinAnswers(Interner, Acc, Ri.A, Opts.Prov,
                                     domain::EdgeKind::Join, Site->id(),
@@ -294,52 +201,37 @@ private:
     return EvalOut{std::move(Acc), MinDep};
   }
 
-  EvalOut evalC(const syntax::Term *T, const KontNode *K,
-                domain::StoreId Sigma, uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return EvalOut{IAns{cutValue(), Sigma}, 0};
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return EvalOut{IAns{cutValue(), Sigma}, 0};
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
+  /// The goal (T, kappa, sigma) at \p Depth, as GoalDriver hooks.
+  struct Goal {
+    SemanticCpsAnalyzer &Self;
+    const syntax::Term *T;
+    const KontNode *K;
+    domain::StoreId Sigma;
+    uint32_t Depth;
 
-    Key MKey{T, K, Sigma};
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(MKey) != 0; });
-    if (auto It = Memo.find(MKey); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      return EvalOut{It->second, Unconstrained};
+    KontKey key() const { return KontKey{T, K, Sigma}; }
+    Key activeKey() const { return Key{T, Sigma}; }
+    size_t storeBytes() const { return Self.Interner.approxBytes(); }
+    EvalOut exhausted(support::DegradeReason) const {
+      return EvalOut{IAns{Self.cutValue(), Sigma}, 0};
     }
-
-    Key AKey{T, nullptr, Sigma};
-    if (auto It = Active.find(AKey); It != Active.end()) {
-      // Section 4.4 cut: return (T, CL_T) *to the current continuation*.
-      ++Stats.Cuts;
-      uint32_t AncestorDepth = It->second;
+    EvalOut hit(const IAns &M) const { return EvalOut{M, Unconstrained}; }
+    /// Section 4.4 cut: return (T, CL_T) *to the current continuation*.
+    EvalOut cut(uint32_t AncestorDepth) const {
       domain::ProvId CutProv =
-          Opts.Prov ? Opts.Prov->value(domain::EdgeKind::Cut, T->id(),
-                                       T->loc())
-                    : domain::NoProv;
-      EvalOut R = appre(K, cutValue(), Sigma, Depth + 1, CutProv);
+          Self.Opts.Prov ? Self.cutProv(T, support::DegradeReason::None)
+                         : domain::NoProv;
+      EvalOut R = Self.appre(K, Self.cutValue(), Sigma, Depth + 1, CutProv);
       R.MinDep = std::min(R.MinDep, AncestorDepth);
       return R;
     }
+    EvalOut walk() const { return Self.evalUncached(T, K, Sigma, Depth); }
+    const IAns &memoValue(const EvalOut &O) const { return O.A; }
+  };
 
-    Active.emplace(AKey, Depth);
-    EvalOut Out = evalUncached(T, K, Sigma, Depth);
-    Active.erase(AKey);
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo)
-        Memo.emplace(MKey, Out.A);
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
+  EvalOut evalC(const syntax::Term *T, const KontNode *K,
+                domain::StoreId Sigma, uint32_t Depth) {
+    return Goals.solve(Goal{*this, T, K, Sigma, Depth});
   }
 
   EvalOut evalUncached(const syntax::Term *T, const KontNode *K,
@@ -356,15 +248,8 @@ private:
     const Term *Bound = Let->bound();
 
     switch (Bound->kind()) {
-    case TermKind::TK_Value: {
-      Val U = phi(cast<ValueTerm>(Bound)->value(), Sigma);
-      domain::StoreId S = Interner.joinAt(Sigma, Vars->of(Let->var()), U);
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, Vars->of(Let->var()), S,
-                          Sigma, Let->id(), Let->loc(),
-                          provOfValue(cast<ValueTerm>(Bound)->value(), Sigma));
-      return evalC(Let->body(), K, S, Depth + 1);
-    }
+    case TermKind::TK_Value:
+      return evalC(Let->body(), K, this->bindValue(Let, Sigma), Depth + 1);
 
     case TermKind::TK_App: {
       const auto *App = cast<AppTerm>(Bound);
@@ -376,19 +261,7 @@ private:
 
     case TermKind::TK_If0: {
       const auto *If = cast<If0Term>(Bound);
-      Val U0 = phi(cast<ValueTerm>(If->cond())->value(), Sigma);
-      domain::ZeroTest Zt = D::isZero(U0.Num);
-
-      bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty();
-      bool ElseOnly = Zt == domain::ZeroTest::NonZero ||
-                      Zt == domain::ZeroTest::Bottom;
-
-      BranchInfo &BI = Cfg.Branches[If];
-      BI.ThenFeasible |= !ElseOnly;
-      BI.ElseFeasible |= !ThenOnly;
-      if (ThenOnly || ElseOnly)
-        ++Stats.PrunedBranches;
-
+      auto [ThenOnly, ElseOnly] = this->feasibleArms(If, Sigma);
       const KontNode *K2 = cons(Let, K);
       if (ThenOnly || ElseOnly)
         return evalC(ThenOnly ? If->thenBranch() : If->elseBranch(), K2,
@@ -461,25 +334,13 @@ private:
     }
   };
 
-  const Context &Ctx;
-  const syntax::Term *Program;
-  std::vector<DirectBinding<D>> Initial;
-  AnalyzerOptions Opts;
-
-  std::shared_ptr<domain::VarIndex> Vars;
-  domain::CloSet CloTop;
-  domain::StoreInterner<Val> Interner;
-  AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
-  DirectCfg Cfg;
-
   std::deque<KontNode> KontNodes;
   std::unordered_map<std::pair<const void *, const void *>, const KontNode *,
                      PairHash>
       KontCache;
 
-  std::unordered_map<Key, IAns, KeyHash> Memo;
-  std::unordered_map<Key, uint32_t, KeyHash> Active;
+  GoalDriver<KontKey, KontKeyHash, IAns, Key, KeyHash> Goals{this->Opts,
+                                                             this->Stats};
 };
 
 } // namespace analysis

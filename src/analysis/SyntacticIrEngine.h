@@ -53,6 +53,7 @@
 
 #include "analysis/Cfg.h"
 #include "analysis/Common.h"
+#include "analysis/GoalDriver.h"
 #include "cps/CpsIr.h"
 #include "domain/AbsStore.h"
 #include "domain/AbsValue.h"
@@ -151,7 +152,7 @@ public:
     EvalOut Out = evalP(Ir.Root, Sigma0, 0);
     if (SummariesOn)
       Stats.SummaryEntries = SumArena.size();
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
+    finalizeRunStats(Stats, Interner, Goals.memo().size(), Opts);
     if (Opts.Metrics && Opts.UseSummaries) {
       Opts.Metrics->set("summaryHits", Stats.SummaryHits);
       Opts.Metrics->set("summaryMisses", Stats.SummaryMisses);
@@ -189,8 +190,6 @@ public:
   }
 
 private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
   static constexpr uint32_t NoFp = std::numeric_limits<uint32_t>::max();
   /// Per-(label, entry-store) cap on stored summaries — one per distinct
   /// calling context, bounded so a context-churning goal cannot bloat
@@ -419,7 +418,8 @@ private:
       // the entry shift and collide where the recording did not.
       if (!Exact && testAt(F.Bits, QAOff, M))
         return false;
-      if (auto It = Active.find(key(M, Sigma)); It != Active.end()) {
+      if (auto It = Goals.active().find(key(M, Sigma));
+          It != Goals.active().end()) {
         MinDep = std::min(MinDep, It->second);
         continue;
       }
@@ -427,8 +427,8 @@ private:
       // exactly the cut value (top saturation makes this common), the
       // replay's query memo-hits the same answer the recording absorbed;
       // anything else would walk where the recording cut.
-      auto It = Memo.find(key(M, Sigma));
-      if (It == Memo.end() || It->second.Store != Sigma ||
+      auto It = Goals.memo().find(key(M, Sigma));
+      if (It == Goals.memo().end() || It->second.Store != Sigma ||
           !(It->second.Value == cutAnswer(Sigma).Value))
         return false;
     }
@@ -453,7 +453,8 @@ private:
     // the replay would. Memo-resolved cut targets charge nothing — the
     // replay's query of them memo-hits.
     for (uint32_t M : S.Cuts)
-      if (auto It = Active.find(key(M, Sigma)); It != Active.end())
+      if (auto It = Goals.active().find(key(M, Sigma));
+          It != Goals.active().end())
         noteCut(M, Sigma, It->second);
     bool Exact = S.Entry == Sigma;
     // Dead results stay dead (the replayed paths are dead too); live
@@ -463,7 +464,7 @@ private:
             ? Interner.bottom()
             : (Exact ? S.ResultStore : Interner.join(Sigma, S.ResultStore));
     IAns A{S.Value, OutStore};
-    if (Pin && Memo.emplace(key(P, Sigma), A).second)
+    if (Pin && Goals.memo().emplace(key(P, Sigma), A).second)
       MemoFp.emplace(key(P, Sigma), S.Fp);
     return EvalOut{std::move(A), MinDep};
   }
@@ -503,36 +504,43 @@ private:
     return std::nullopt;
   }
 
-  /// Pops the finished walk's recording: folds it into the parent,
-  /// applies the memo discipline (with fingerprint), and publishes a
-  /// summary for the label when there is room.
-  void finishGoal(uint32_t P, uint32_t Depth, uint64_t K, EvalOut &Out) {
+  /// Pushes the recording of a walk of \p P entered at \p Sigma.
+  void startRecording(uint32_t P, domain::StoreId Sigma, uint32_t Depth) {
+    auto &AB = ActiveBitsAtStore[Sigma];
+    if (AB.empty())
+      AB.assign(TermWords, 0);
+    setBit(AB, P);
+    Recording R;
+    R.Label = P;
+    R.Entry = Sigma;
+    R.BaseDepth = Depth;
+    R.Fp.Bits.assign(FpWords, 0);
+    RecStack.push_back(std::move(R));
+  }
+
+  /// Pops the finished walk's recording of goal key \p K: folds it into
+  /// the parent, files its fingerprint with the memo entry when the
+  /// driver \p Pinned the answer there, and publishes a summary for the
+  /// label when there is room.
+  void finishGoal(uint32_t P, uint64_t K, const EvalOut &Out, bool Pinned) {
     Recording R = std::move(RecStack.back());
     RecStack.pop_back();
+    clearBit(ActiveBitsAtStore.find(R.Entry)->second, P);
     bool Clean = !Stats.BudgetExhausted && !R.Poisoned;
-    bool Memoizable = Out.MinDep >= Depth && !Stats.BudgetExhausted;
-    bool Pinned = Memoizable && Opts.UseMemo;
     if (!RecStack.empty()) {
       mergeChildFp(R.Fp, R.Entry, /*Shielded=*/Pinned);
       noteQuery(P, R.Entry, /*Fluid=*/!Pinned);
       RecStack.back().Poisoned |= R.Poisoned;
     }
-    uint64_t EK = key(P, R.Entry);
-    auto EIt = SumExact.find(EK);
+    auto EIt = SumExact.find(K);
     bool Summarizable =
         Clean && (EIt == SumExact.end() || EIt->second.size() < ExactCap);
     uint32_t FpIdx = NoFp;
-    if (Summarizable || (Memoizable && Opts.UseMemo && Clean)) {
+    if (Summarizable || (Pinned && Clean)) {
       FpIdx = static_cast<uint32_t>(FpArena.size());
       FpArena.push_back(std::move(R.Fp));
-    }
-    if (Memoizable) {
-      if (Opts.UseMemo) {
-        Memo.emplace(K, Out.A);
-        if (FpIdx != NoFp)
-          MemoFp.emplace(K, FpIdx);
-      }
-      Out.MinDep = Unconstrained;
+      if (Pinned)
+        MemoFp.emplace(K, FpIdx);
     }
     if (Summarizable) {
       std::sort(R.CutLabels.begin(), R.CutLabels.end());
@@ -543,7 +551,7 @@ private:
       SumArena.push_back(Summary{R.Entry, Out.A.Value, Out.A.Store, FpIdx,
                                  std::move(R.CutLabels)});
       SumByLabel[P].push_back(SI);
-      SumExact[EK].push_back(SI);
+      SumExact[K].push_back(SI);
     }
   }
 
@@ -642,69 +650,54 @@ private:
     return EvalOut{std::move(Acc0), MinDep};
   }
 
+  /// The goal (P, sigma) at \p Depth, as GoalDriver hooks. With
+  /// summaries on, resolved queries and cuts are charged to the enclosing
+  /// recording, a validated summary answers the goal before it is walked,
+  /// and a walked goal is recorded.
+  struct Goal {
+    SynIrEngine &Self;
+    uint32_t P;
+    domain::StoreId Sigma;
+    uint32_t Depth;
+
+    uint64_t key() const { return SynIrEngine::key(P, Sigma); }
+    size_t storeBytes() const { return Self.Interner.approxBytes(); }
+    EvalOut exhausted(support::DegradeReason) const {
+      return EvalOut{Self.cutAnswer(Sigma), 0};
+    }
+    EvalOut hit(const IAns &M) const {
+      if (Self.SummariesOn) {
+        Self.noteQuery(P, Sigma, /*Fluid=*/false);
+        Self.mergeMemoFp(key(), Sigma);
+      }
+      return EvalOut{M, Unconstrained};
+    }
+    EvalOut cut(uint32_t AncestorDepth) const {
+      if (Self.SummariesOn) {
+        Self.noteQuery(P, Sigma, /*Fluid=*/true);
+        Self.noteCut(P, Sigma, AncestorDepth);
+      }
+      return EvalOut{Self.cutAnswer(Sigma), AncestorDepth};
+    }
+    std::optional<EvalOut> beforeWalk() const {
+      if (!Self.SummariesOn)
+        return std::nullopt;
+      if (std::optional<EvalOut> R = Self.trySummary(P, Sigma, Depth))
+        return R;
+      ++Self.Stats.SummaryMisses;
+      Self.startRecording(P, Sigma, Depth);
+      return std::nullopt;
+    }
+    EvalOut walk() const { return Self.evalUncached(P, Sigma, Depth); }
+    const IAns &memoValue(const EvalOut &O) const { return O.A; }
+    void afterWalk(const EvalOut &O, bool Memoized) const {
+      if (Self.SummariesOn)
+        Self.finishGoal(P, key(), O, Memoized);
+    }
+  };
+
   EvalOut evalP(uint32_t P, domain::StoreId Sigma, uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return EvalOut{cutAnswer(Sigma), 0};
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return EvalOut{cutAnswer(Sigma), 0};
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
-
-    uint64_t K = key(P, Sigma);
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(K) != 0; });
-    if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      if (SummariesOn) {
-        noteQuery(P, Sigma, /*Fluid=*/false);
-        mergeMemoFp(K, Sigma);
-      }
-      return EvalOut{It->second, Unconstrained};
-    }
-    if (auto It = Active.find(K); It != Active.end()) {
-      ++Stats.Cuts;
-      if (SummariesOn) {
-        noteQuery(P, Sigma, /*Fluid=*/true);
-        noteCut(P, Sigma, It->second);
-      }
-      return EvalOut{cutAnswer(Sigma), It->second};
-    }
-    if (SummariesOn) {
-      if (std::optional<EvalOut> R = trySummary(P, Sigma, Depth))
-        return *R;
-      ++Stats.SummaryMisses;
-    }
-
-    Active.emplace(K, Depth);
-    if (SummariesOn) {
-      auto &AB = ActiveBitsAtStore[Sigma];
-      if (AB.empty())
-        AB.assign(TermWords, 0);
-      setBit(AB, P);
-      Recording R;
-      R.Label = P;
-      R.Entry = Sigma;
-      R.BaseDepth = Depth;
-      R.Fp.Bits.assign(FpWords, 0);
-      RecStack.push_back(std::move(R));
-    }
-    EvalOut Out = evalUncached(P, Sigma, Depth);
-    Active.erase(K);
-    if (SummariesOn) {
-      clearBit(ActiveBitsAtStore.find(Sigma)->second, P);
-      finishGoal(P, Depth, K, Out);
-    } else if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo)
-        Memo.emplace(K, Out.A);
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
+    return Goals.solve(Goal{*this, P, Sigma, Depth});
   }
 
   EvalOut evalUncached(uint32_t P, domain::StoreId Sigma, uint32_t Depth) {
@@ -996,11 +989,8 @@ private:
 
   domain::StoreInterner<PVal> Interner;
   AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
+  GoalDriver<uint64_t, KeyHash, IAns> Goals{Opts, Stats};
   std::vector<TermAcc> Acc;
-
-  std::unordered_map<uint64_t, IAns, KeyHash> Memo;
-  std::unordered_map<uint64_t, uint32_t, KeyHash> Active;
 
   // Summarization state (populated only when SummariesOn).
   /// Labels active per store, as a dense bitset — the word-parallel side

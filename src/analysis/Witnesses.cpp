@@ -7,6 +7,7 @@
 #include "analysis/Witnesses.h"
 
 #include "anf/Anf.h"
+#include "syntax/Analysis.h"
 #include "syntax/Builder.h"
 
 #include <cassert>

@@ -13,6 +13,7 @@
 
 #include "TestUtil.h"
 #include "analysis/DirectAnalyzer.h"
+#include "analysis/PushdownAnalyzer.h"
 #include "analysis/SemanticCpsAnalyzer.h"
 #include "analysis/SyntacticCpsAnalyzer.h"
 #include "analysis/Witnesses.h"
@@ -20,6 +21,10 @@
 #include "syntax/Printer.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 using namespace cpsflow;
 using namespace cpsflow::analysis;
@@ -311,6 +316,82 @@ TEST(DirectAnalyzer, DerivationSinkMarksDeadGoals) {
   for (const std::string &Line : Derivation)
     SawDead |= Line.find("|- dead") != std::string::npos;
   EXPECT_TRUE(SawDead);
+}
+
+/// The derivation of a seven-goal program, capped at four lines,
+/// recorded by \p Analyzer.
+template <typename Analyzer>
+std::vector<std::string> cappedDerivation(Context &Ctx,
+                                          const syntax::Term *&T,
+                                          uint64_t &Goals) {
+  std::vector<std::string> Derivation;
+  AnalyzerOptions Opts;
+  Opts.DerivationSink = &Derivation;
+  Opts.DerivationMaxLines = 4;
+  T = cpsflow::test::mustParse(
+      Ctx, "(let (a (add1 1)) (let (b (add1 a)) (let (c (add1 b))"
+           " (let (d (add1 c)) (let (e (add1 d)) (let (f (add1 e)) f))))))");
+  Goals = Analyzer(Ctx, T, {}, Opts).run().Stats.Goals;
+  return Derivation;
+}
+
+/// True iff \p A is one rendered answer: "dead", or a single
+/// parenthesized value that closes at its last character.
+bool isOneAnswer(std::string_view A) {
+  if (A == "dead")
+    return true;
+  if (A.empty() || A.front() != '(')
+    return false;
+  int Depth = 0;
+  for (size_t I = 0; I < A.size(); ++I) {
+    Depth += A[I] == '(' ? 1 : A[I] == ')' ? -1 : 0;
+    if (Depth == 0)
+      return I + 1 == A.size();
+  }
+  return false;
+}
+
+/// Every recorded line ends in exactly one "|- <answer>"; goals past the
+/// cap leave the recorded lines alone. \p PathsPrefix is the pushdown
+/// rendering's "N path(s), first " lead-in.
+void expectEachLineClosedOnce(const std::vector<std::string> &Lines,
+                              bool PathsPrefix) {
+  ASSERT_EQ(Lines.size(), 4u);
+  for (const std::string &Line : Lines) {
+    size_t At = Line.find("|- ");
+    ASSERT_NE(At, std::string::npos) << Line;
+    EXPECT_EQ(Line.find("|- ", At + 1), std::string::npos) << Line;
+    std::string_view A = std::string_view(Line).substr(At + 3);
+    if (PathsPrefix && A != "dead") {
+      size_t First = A.find(" path(s), first ");
+      ASSERT_NE(First, std::string_view::npos) << Line;
+      A = A.substr(First + 16);
+    }
+    EXPECT_TRUE(isOneAnswer(A)) << Line;
+  }
+}
+
+TEST(DirectAnalyzer, CappedDerivationSinkClosesEachLineOnce) {
+  Context Ctx;
+  const syntax::Term *T = nullptr;
+  uint64_t Goals = 0;
+  std::vector<std::string> Lines =
+      cappedDerivation<DirectAnalyzer<CD>>(Ctx, T, Goals);
+  EXPECT_GT(Goals, 4u);
+  expectEachLineClosedOnce(Lines, /*PathsPrefix=*/false);
+  EXPECT_EQ(Lines[0], "(" + syntax::print(Ctx, T) + ", sigma) |- (7, {})");
+}
+
+TEST(PushdownAnalyzer, CappedDerivationSinkClosesEachLineOnce) {
+  Context Ctx;
+  const syntax::Term *T = nullptr;
+  uint64_t Goals = 0;
+  std::vector<std::string> Lines =
+      cappedDerivation<PushdownAnalyzer<CD>>(Ctx, T, Goals);
+  EXPECT_GT(Goals, 4u);
+  expectEachLineClosedOnce(Lines, /*PathsPrefix=*/true);
+  EXPECT_EQ(Lines[0], "(" + syntax::print(Ctx, T) +
+                          ", sigma) |- 1 path(s), first (7, {})");
 }
 
 } // namespace

@@ -181,7 +181,9 @@ struct Options {
       "                             syncps=syntactic, pd=cfa2=pushdown)\n"
       "          --domain=constant|unit|sign|parity|interval\n"
       "          --bind x=N   --top x   --budget N   --fuel N\n"
-      "          --show-cfg   --show-store   --show-derivation\n"
+      "          --show-cfg   --show-store\n"
+      "          --show-derivation  derivation tree (analyze with\n"
+      "                             --analyzer direct|pushdown only)\n"
       "          --json   --trace\n"
       "          --deadline-ms N    soft wall-clock deadline per analysis\n"
       "          --max-store-mb N   interned-store memory ceiling\n"
@@ -444,6 +446,12 @@ Options parseArgs(int Argc, char **Argv) {
            "; aliases: " + analysis::knownAnalyzerAliases() + ")")
               .c_str());
   }
+  // Only the direct and pushdown analyzers record a derivation tree.
+  if (O.ShowDerivation &&
+      (O.Command != "analyze" ||
+       (O.Analyzer != "direct" && O.Analyzer != "pushdown")))
+    usage("--show-derivation: only `analyze --analyzer direct|pushdown` "
+          "records a derivation");
   return O;
 }
 
